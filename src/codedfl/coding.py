@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sp
 
-from .matrices import (DenseMatrix, Matrix, PartitionedMatrix, SparseMatrix,
-                       linear_combination)
+from .matrices import Matrix, PartitionedMatrix, SparseMatrix, linear_combination
 
 
 class RosterError(ValueError):
@@ -363,33 +362,6 @@ def encode(P: PartitionedMatrix, plan: CodingPlan) -> EncodedWorkload:
     G = plan.coefficient_matrix()
     G.setflags(write=False)
     return EncodedWorkload(tuple(coded), G, alpha)
-
-
-def encode_baseline_dense(P: PartitionedMatrix, n: int,
-                          rng: np.random.Generator) -> EncodedWorkload:
-    """n fully dense random coefficient rows over P's blocks."""
-    alpha = P.require_uniform()
-    G = np.vstack([draw_coeffs(rng, P.k) for _ in range(n)])
-    coded = tuple(linear_combination(P.blocks, G[i]) for i in range(n))
-    G.setflags(write=False)
-    return EncodedWorkload(coded, G, alpha)
-
-
-def encode_baseline_polynomial(P: PartitionedMatrix, n: int,
-                               points=None) -> EncodedWorkload:
-    """Vandermonde rows G[i, q] = x_i^q; any k_bar rows are invertible."""
-    alpha = P.require_uniform()
-    if points is None:
-        points = list(range(n))
-    points = [float(p) for p in points]
-    if len(points) != n:
-        raise PlanError(f"{len(points)} evaluation points for {n} workers")
-    if len(set(points)) != n:
-        raise PlanError("evaluation points must be pairwise distinct")
-    G = np.vander(np.array(points), P.k, increasing=True)
-    coded = tuple(linear_combination(P.blocks, G[i]) for i in range(n))
-    G.setflags(write=False)
-    return EncodedWorkload(coded, G, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Dense and compressed-sparse matrix storage with block-column partitioning.
 
 Every matrix in this package is one of two immutable wrapper types:
-``DenseMatrix`` (a C-ordered float64 array) or ``SparseMatrix`` (canonical
-CSC storage).  Both expose the same small surface: ``matvec_t`` (the
-transpose product M^T x), ``nnz``, ``column_slice`` and ``to_dense``.
+``DenseMatrix`` (a C-ordered float64 array) or ``SparseMatrix`` (CSC
+storage without duplicate coordinates; the constructor also sorts indices
+and drops zeros, arithmetic results keep their kernel's index order).
+Both expose the same small surface: ``matvec_t`` (the transpose product
+M^T x), ``nnz``, ``column_slice`` and ``to_dense``.
 ``PartitionedMatrix`` holds a matrix as an ordered list of disjoint
 block-columns, the unit of work distributed to clients.
 """
@@ -32,6 +34,12 @@ class ShapeError(ValueError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _freeze_csc(m: _sp.csc_matrix) -> _sp.csc_matrix:
+    for part in (m.data, m.indices, m.indptr):
+        _freeze(part)
+    return m
 
 
 class DenseMatrix:
@@ -79,10 +87,11 @@ class SparseMatrix:
     """Compressed column-oriented sparse matrix, immutable after construction.
 
     Construction normalises the input (duplicates summed, explicit zeros
-    dropped, indices sorted), so stored values are nonzero and column
-    indices are strictly increasing.  Results of arithmetic are wrapped
-    without re-normalising; their pattern is contained in the union of the
-    operand patterns.
+    dropped, indices sorted), so stored values are nonzero and the row
+    indices within each column are strictly increasing.  Results of
+    arithmetic are wrapped without re-normalising: they have no duplicate
+    coordinates and their pattern lies within the union of the operand
+    patterns, but their index order within a column is unspecified.
     """
 
     __slots__ = ("m",)
@@ -92,21 +101,23 @@ class SparseMatrix:
         m = _sp.csc_matrix(m, dtype=np.float64)
         if m.shape[0] < 1 or m.shape[1] < 1:
             raise ShapeError(f"matrix must be non-empty, got shape {m.shape}")
+        if not all(part.flags.writeable for part in (m.data, m.indices, m.indptr)):
+            # frozen storage (e.g. another SparseMatrix's) is normalised in a copy
+            m = m.copy()
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
-        self.m = m
-        for part in (m.data, m.indices, m.indptr):
-            part.setflags(write=False)
+        self.m = _freeze_csc(m)
 
     @classmethod
     def _wrap(cls, m: _sp.csc_matrix) -> "SparseMatrix":
-        # Arithmetic results are already canonical enough; skip normalising
-        # so probability-zero cancellations are not hunted down.
+        # Arithmetic results carry no duplicate coordinates, so they are
+        # frozen as the scipy kernel produced them: sorting the indices would
+        # cost as much as the product itself, and nothing here needs the
+        # order (SpMV, toarray, nnz and mmwrite take any).  Probability-zero
+        # cancellations are not hunted down either.
         out = object.__new__(cls)
-        m = m.tocsc()
-        m.sort_indices()
-        out.m = m
+        out.m = _freeze_csc(m.tocsc())
         return out
 
     @property
@@ -212,32 +223,6 @@ def partition_uniform(A, k: int) -> PartitionedMatrix:
     if k < 1 or A.cols % k != 0:
         raise PartitionError(f"{A.cols} columns cannot be split into {k} equal blocks")
     return partition(A, [A.cols // k] * k)
-
-
-def subpartition(P: PartitionedMatrix, multipliers) -> PartitionedMatrix:
-    """Refine a partition so block ``k`` of width ``multipliers[k] * alpha``
-    becomes ``multipliers[k]`` consecutive blocks of uniform width ``alpha``."""
-    multipliers = [int(c) for c in multipliers]
-    if len(multipliers) != P.k:
-        raise ExpansionError(
-            f"{len(multipliers)} multipliers for {P.k} blocks")
-    if any(c < 1 for c in multipliers):
-        raise ExpansionError(f"multipliers must be >= 1, got {multipliers}")
-    alphas = set()
-    for blk, c in zip(P.blocks, multipliers):
-        if blk.cols % c != 0:
-            raise ExpansionError(
-                f"block of width {blk.cols} is not divisible by multiplier {c}")
-        alphas.add(blk.cols // c)
-    if len(alphas) != 1:
-        raise ExpansionError(
-            f"multipliers imply inconsistent base widths {sorted(alphas)}")
-    alpha = alphas.pop()
-    blocks = []
-    for blk, c in zip(P.blocks, multipliers):
-        for i in range(c):
-            blocks.append(blk.column_slice(i * alpha, (i + 1) * alpha))
-    return PartitionedMatrix(tuple(blocks), alpha, P.total_cols)
 
 
 def matvec_t(M, x: np.ndarray) -> np.ndarray:

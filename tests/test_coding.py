@@ -22,6 +22,14 @@ def example2_roster():
     return cd.make_roster([2, 2, 1, 1, 1], [1, 1])
 
 
+def one_block_roster(n_bar):
+    # one generated block shared by n_bar workers; make_roster rejects this
+    # shape (passives must be fewer than actives), a stored roster need not
+    clients = tuple(cd.Client(i, "active" if i == 0 else "passive", 0, 1)
+                    for i in range(n_bar))
+    return cd.ClientRoster(clients, 1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # rosters and heterogeneous expansion
 
@@ -284,8 +292,11 @@ def test_poly_rejects_duplicate_points():
 
 def test_poly_single_block_rows_all_one():
     P = mx.partition_uniform(mx.random_dense(4, 3, rng(1)), 1)
-    wl = cd.encode_baseline_polynomial(P, 3, points=[0, 5, 7])
+    plan = cd.build_poly_plan(one_block_roster(3), points=[0, 5, 7])
+    wl = cd.encode(P, plan)
     np.testing.assert_array_equal(wl.G, [[1.0], [1.0], [1.0]])
+    for blk in wl.coded:
+        np.testing.assert_array_equal(blk.to_dense(), P.blocks[0].to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +320,15 @@ def test_encode_sparse_route_matches_dense_route():
     plan = fig1_plan(seed=4)
     ws = cd.encode(P, plan)
     wd = cd.encode(Pd, plan)
+    x = rng(5).standard_normal(50)
     for a, b in zip(ws.coded, wd.coded):
         assert a.kind == "sparse"
         np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-12)
+        # toarray sums duplicate coordinates, so count the stored entries too
+        assert a.nnz() == np.count_nonzero(b.to_dense())
+        # unsorted storage only re-associates the SpMV sums
+        scale = np.abs(b.to_dense()).T @ np.abs(x)
+        assert np.all(np.abs(a.matvec_t(x) - b.matvec_t(x)) <= 1e-13 * scale)
 
 
 def test_encode_products_match_combined_products():
@@ -381,7 +398,7 @@ def test_iter_encoded_blocks_streams_all_workers():
 def test_baseline_dense_pattern_union_and_rank():
     S = mx.random_sparse(60, 12, 0.08, rng(14))
     P = mx.partition_uniform(S, 4)
-    wl = cd.encode_baseline_dense(P, 4, rng(15))
+    wl = cd.encode(P, cd.build_dense_plan(cd.make_roster([1] * 4), seed=15))
     union = np.zeros((60, 3), dtype=bool)
     for b in P.blocks:
         union |= b.to_dense() != 0
@@ -395,7 +412,7 @@ def test_baseline_dense_pattern_union_and_rank():
 
 def test_baseline_dense_single_block_is_scalar_copy():
     P = mx.partition_uniform(mx.random_dense(5, 3, rng(16)), 1)
-    wl = cd.encode_baseline_dense(P, 2, rng(17))
+    wl = cd.encode(P, cd.build_dense_plan(one_block_roster(2), seed=17))
     for i in range(2):
         np.testing.assert_allclose(wl.coded[i].to_dense(),
                                    wl.G[i, 0] * P.blocks[0].to_dense(), atol=1e-12)

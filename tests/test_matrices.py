@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 
+from codedfl import coding as cd
 from codedfl import matrices as mx
 
 
@@ -49,29 +50,6 @@ def test_partition_rejects_bad_widths():
         mx.partition(A, [10, 0])            # zero width
     with pytest.raises(mx.PartitionError):
         mx.partition_uniform(A, 3)          # 10 % 3 != 0
-
-
-def test_subpartition_refines_to_uniform_width():
-    # widths 4,4,2 with multipliers 2,2,1 refine to five blocks of width 2
-    A = mx.DenseMatrix(np.arange(30, dtype=float).reshape(3, 10))
-    P = mx.partition(A, [4, 4, 2])
-    Q = mx.subpartition(P, [2, 2, 1])
-    assert Q.k == 5
-    assert Q.block_cols == 2
-    np.testing.assert_array_equal(Q.concat().to_dense(), A.to_dense())
-    # virtual block 1 is the second half of physical block 0
-    np.testing.assert_array_equal(Q.blocks[1].to_dense(), A.to_dense()[:, 2:4])
-
-
-def test_subpartition_rejects_inconsistent_multipliers():
-    A = mx.random_dense(3, 10, rng(3))
-    P = mx.partition(A, [4, 6])
-    with pytest.raises(mx.ExpansionError):
-        mx.subpartition(P, [2, 2])          # implies widths 2 and 3
-    with pytest.raises(mx.ExpansionError):
-        mx.subpartition(P, [3, 2])          # 4 % 3 != 0
-    with pytest.raises(mx.ExpansionError):
-        mx.subpartition(P, [2])             # wrong count
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +162,25 @@ def test_dense_is_immutable():
     A = mx.random_dense(3, 3, rng(20))
     with pytest.raises(ValueError):
         A.a[0, 0] = 99.0
+
+
+def test_sparse_is_immutable():
+    # constructed and arithmetic-result storage alike is read-only
+    S = mx.random_sparse(30, 12, 0.3, rng(23))
+    P = mx.partition_uniform(S, 3)
+    plan = cd.build_dense_plan(cd.make_roster([1] * 3, [1]), seed=24)
+    coded = cd.encode(P, plan).coded[0]
+    cases = [S, P.blocks[1], coded,
+             mx.linear_combination(P.blocks, [1.0, -2.0, 0.5]), P.concat()]
+    for M in cases:
+        for part in (M.m.data, M.m.indices, M.m.indptr):
+            with pytest.raises(ValueError):
+                part[0] = 0
+    # frozen storage can still be wrapped anew (normalised in a copy)
+    again = mx.SparseMatrix(coded.m)
+    assert again.nnz() == coded.nnz()
+    np.testing.assert_array_equal(again.to_dense(), coded.to_dense())
+    assert not again.m.data.flags.writeable
 
 
 def test_rejects_empty_and_bad_dims():
