@@ -170,20 +170,22 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     except dec.SubsetGuardError as e:
         return _fail(f"{e} (use --mode sampled)", 2)
 
-    # matching certificates over the same enumeration policy
-    subsets = dec.iter_subsets(plan.n_bar, plan.k_bar,
-                               None if report.exhaustive else sample, seed)
-    match_checked = 0
-    match_failures = []
-    for subset in subsets:
-        match_checked += 1
-        if not dec.check_hall_condition(plan, subset).perfect:
-            match_failures.append(list(subset))
+    # Full rank implies a perfect matching (see codedfl.decoding), so every
+    # enumerated subset is certified and only rank failures need an
+    # explicit augmenting-path search.
+    match_checked = report.subsets_checked
+    match_failures = [list(f) for f in report.failures
+                      if not dec.check_hall_condition(plan, f).perfect]
 
     max_stragglers = args.max_stragglers
     if max_stragglers is None:
         max_stragglers = min(roster.n_clients, plan.s_bar + 1)
-    patterns = dec.resilience_patterns(roster, plan, max_stragglers)
+    try:
+        patterns = dec.resilience_patterns(
+            roster, plan, max_stragglers,
+            subsets=report if report.exhaustive else None)
+    except dec.SubsetGuardError as e:
+        return _fail(f"{e} (lower --max-stragglers)", 2)
 
     doc = {
         "subsets": report.to_dict(),
@@ -212,8 +214,9 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
           f"({'exhaustive' if report.exhaustive else 'sampled'})")
     print(f"matching: {match_checked - len(match_failures)}/{match_checked} "
           "perfect")
+    worst = "none" if report.worst_subset is None else list(report.worst_subset)
     print(f"condition numbers: min={report.min_cond:.3e} "
-          f"max={report.max_cond:.3e}")
+          f"max={report.max_cond:.3e} worst subset={worst}")
     for line in patterns.describe():
         print(f"pattern {line}")
     if not ok:

@@ -4,10 +4,18 @@ behind the straggler-resilience claims.
 The decoder solves G_S U = Y by row-pivoted elimination, where G_S stacks
 the coefficient rows of the workers actually used and Y stacks their
 product vectors; row q of U is then the block product A_q^T x.  The
-verification side is deliberately independent of that solver: subset rank
-uses the SVD, and decodability certificates come from a hand-rolled
-maximum bipartite matching (a perfect matching between equations and
-unknowns implies full rank for random continuous coefficients).
+verification side is deliberately independent of that solver.  Subsets are
+ranked in chunks by one stacked SVD, which gives each subset's rank (with
+``np.linalg.matrix_rank``'s tolerance) and its condition number, and the
+straggler-pattern survey reuses those verdicts.
+
+The matching certificate follows from rank.  If sigma_min of G_S clears the
+SVD tolerance, G_S is nonsingular (the computed singular values lie within
+rounding of the exact ones), so its determinant has a nonzero Leibniz
+term: a permutation pairing every selected equation with a distinct unknown
+in its support, i.e. a perfect matching of the support graph.  Explicit
+augmenting-path matchings are therefore only needed on rank failures, where
+they tell a structural defect (no matching) from an unlucky cancellation.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .matrices import ShapeError
 
 DECODE_TOL = 1e-8       # row-wise relative residual bound
 PIVOT_REL_TOL = 1e-10   # pivot below this times the matrix scale is zero
+SUBSET_GUARD = 10 ** 6  # most subsets or straggler sets enumerated in full
+RANK_CHUNK = 2048       # matrices per stacked SVD: 12.8 MB at 28x28
 
 
 class DecodeError(Exception):
@@ -43,7 +53,7 @@ class RankDeficientError(DecodeError):
 
 
 class SubsetGuardError(ValueError):
-    """Exhaustive enumeration would exceed the subset guard."""
+    """Exhaustive enumeration would exceed its guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +173,7 @@ class ResilienceReport:
     failures: tuple[tuple[int, ...], ...]
     min_cond: float
     max_cond: float
+    worst_subset: tuple[int, ...] | None   # first subset at max_cond
     exhaustive: bool
 
     @property
@@ -178,6 +189,8 @@ class ResilienceReport:
             "failures": [list(f) for f in self.failures],
             "min_cond": self.min_cond,
             "max_cond": self.max_cond,
+            "worst_subset": (None if self.worst_subset is None
+                             else list(self.worst_subset)),
             "exhaustive": self.exhaustive,
             "ok": self.ok,
         }
@@ -194,12 +207,30 @@ def iter_subsets(n_bar, k_bar, sample, seed):
         yield tuple(int(i) for i in pick)
 
 
-def check_all_subsets(plan: CodingPlan, guard: int = 10 ** 6,
+def _rank_and_cond(G: np.ndarray, rows: list):
+    """Rank and 2-norm condition number of each G[rows[b]], by one SVD.
+
+    ``rows`` holds equal-length row lists.  The stacked call runs the same
+    LAPACK routine per matrix as ``np.linalg.matrix_rank`` and
+    ``np.linalg.cond``, and the tolerance is matrix_rank's own, so both
+    values are bit-identical to the per-matrix calls.  cond is only
+    meaningful where the rank is full.
+    """
+    S = np.linalg.svd(G[np.asarray(rows)], compute_uv=False)
+    rtol = max(len(rows[0]), G.shape[1]) * np.finfo(S.dtype).eps
+    tol = S.max(axis=-1, keepdims=True, initial=0) * rtol
+    with np.errstate(all="ignore"):
+        cond = S[:, 0] / S[:, -1]
+    return np.count_nonzero(S > tol, axis=-1), cond
+
+
+def check_all_subsets(plan: CodingPlan, guard: int = SUBSET_GUARD,
                       sample: int | None = None, seed: int = 0) -> ResilienceReport:
     """Rank-test every k_bar-subset of coefficient rows (or a random sample).
 
     Rank comes from the SVD, a route fully independent of the decoder's
-    elimination, so the two can cross-check each other.
+    elimination, so the two can cross-check each other.  Subsets stream
+    through in chunks of RANK_CHUNK, one stacked SVD each.
     """
     G = plan.coefficient_matrix()
     n_bar, k_bar = G.shape
@@ -208,21 +239,27 @@ def check_all_subsets(plan: CodingPlan, guard: int = 10 ** 6,
         raise SubsetGuardError(
             f"{total} subsets exceed the exhaustive guard ({guard}); "
             "pass a sample size to switch to sampling")
+    subsets = iter_subsets(n_bar, k_bar, sample, seed)
     failures = []
-    conds = []
+    min_cond = max_cond = float("inf")
+    worst = None
     checked = 0
-    for subset in iter_subsets(n_bar, k_bar, sample, seed):
-        sub = G[list(subset)]
-        checked += 1
-        if np.linalg.matrix_rank(sub) < k_bar:
-            failures.append(subset)
-        else:
-            conds.append(float(np.linalg.cond(sub)))
+    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
+        checked += len(chunk)
+        rank, cond = _rank_and_cond(G, chunk)
+        full = np.flatnonzero(rank == k_bar)
+        failures.extend(chunk[i] for i in np.flatnonzero(rank < k_bar))
+        if full.size == 0:
+            continue
+        good = cond[full]
+        top = int(np.argmax(good))
+        min_cond = min(min_cond, float(good.min()))
+        if worst is None or good[top] > max_cond:
+            max_cond, worst = float(good[top]), chunk[full[top]]
     return ResilienceReport(
         scheme=plan.scheme, k_bar=k_bar, s_bar=plan.s_bar,
         subsets_checked=checked, failures=tuple(failures),
-        min_cond=min(conds) if conds else float("inf"),
-        max_cond=max(conds) if conds else float("inf"),
+        min_cond=min_cond, max_cond=max_cond, worst_subset=worst,
         exhaustive=sample is None)
 
 
@@ -342,29 +379,59 @@ def _contains(big: tuple, small: tuple) -> bool:
 
 
 def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
-                        max_stragglers: int | None = None) -> PatternReport:
+                        max_stragglers: int | None = None, *,
+                        guard: int = SUBSET_GUARD,
+                        subsets: ResilienceReport | None = None) -> PatternReport:
     """Classify straggler sets of physical clients by type multiset.
 
     A set is tolerable when the surviving workers still span all k_bar
     unknowns: at least k_bar coefficient rows remain and their stacked
-    matrix has full numerical rank.
+    matrix has full numerical rank.  Each distinct surviving worker set is
+    ranked once, batched by row count.  ``subsets``, an exhaustive
+    ``check_all_subsets`` report of this same plan, supplies the verdict for
+    survivors of exactly k_bar rows without another SVD.
     """
+    n_clients = roster.n_clients
+    if max_stragglers is None:
+        max_stragglers = n_clients
+    total = sum(math.comb(n_clients, size) for size in range(max_stragglers + 1))
+    if total > guard:
+        raise SubsetGuardError(
+            f"{total} straggler sets exceed the guard ({guard}); "
+            "lower max_stragglers")
+    if subsets is not None and not (
+            subsets.exhaustive and (subsets.scheme, subsets.k_bar, subsets.s_bar)
+            == (plan.scheme, plan.k_bar, plan.s_bar)):
+        raise ValueError("subsets must be an exhaustive report of this plan")
     G = plan.coefficient_matrix()
     owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
              for c in roster.clients}
-    if max_stragglers is None:
-        max_stragglers = roster.n_clients
     buckets: dict[tuple, list] = {}
+    ranked = []       # (pattern key, survivors) of sets leaving >= k_bar rows
     for size in range(0, max_stragglers + 1):
         for combo in itertools.combinations(roster.clients, size):
-            removed = [w for c in combo for w in owned[c.id]]
-            remaining = [w for w in range(plan.n_bar) if w not in set(removed)]
-            ok = (len(remaining) >= plan.k_bar
-                  and np.linalg.matrix_rank(G[remaining]) == plan.k_bar)
+            removed = {w for c in combo for w in owned[c.id]}
             key = tuple(sorted(c.type_index for c in combo))
-            bucket = buckets.setdefault(key, [0, 0, len(removed)])
-            bucket[0] += 1
-            bucket[1] += int(ok)
+            buckets.setdefault(key, [0, 0, len(removed)])[0] += 1
+            if plan.n_bar - len(removed) >= plan.k_bar:
+                ranked.append((key, tuple(w for w in range(plan.n_bar)
+                                          if w not in removed)))
+    full_rank = {}    # surviving workers -> verdict
+    if subsets is not None:
+        failed = set(subsets.failures)
+        full_rank = {rows: rows not in failed for _, rows in ranked
+                     if len(rows) == plan.k_bar}
+    by_size: dict[int, list] = {}
+    for rows in dict.fromkeys(rows for _, rows in ranked):
+        if rows not in full_rank:
+            by_size.setdefault(len(rows), []).append(rows)
+    for group in by_size.values():
+        for i in range(0, len(group), RANK_CHUNK):
+            chunk = group[i:i + RANK_CHUNK]
+            rank, _ = _rank_and_cond(G, chunk)
+            full_rank.update(zip(chunk, (rank == plan.k_bar).tolist()))
+    for key, rows in ranked:
+        buckets[key][1] += full_rank[rows]
     entries = tuple(PatternEntry(k, n, t, rv)
                     for k, (n, t, rv) in sorted(buckets.items(),
                                                 key=lambda kv: (len(kv[0]), kv[0])))

@@ -36,6 +36,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _canonical(m: _sp.csc_matrix) -> _sp.csc_matrix:
+    """Reject an empty shape; sum duplicates, drop zeros, sort indices in place."""
+    if m.shape[0] < 1 or m.shape[1] < 1:
+        raise ShapeError(f"matrix must be non-empty, got shape {m.shape}")
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
+
+
 def _freeze_csc(m: _sp.csc_matrix) -> _sp.csc_matrix:
     for part in (m.data, m.indices, m.indptr):
         _freeze(part)
@@ -98,16 +108,9 @@ class SparseMatrix:
     kind = "sparse"
 
     def __init__(self, m):
-        m = _sp.csc_matrix(m, dtype=np.float64)
-        if m.shape[0] < 1 or m.shape[1] < 1:
-            raise ShapeError(f"matrix must be non-empty, got shape {m.shape}")
-        if not all(part.flags.writeable for part in (m.data, m.indices, m.indptr)):
-            # frozen storage (e.g. another SparseMatrix's) is normalised in a copy
-            m = m.copy()
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        self.m = _freeze_csc(m)
+        # normalise a private copy: the caller's matrix stays as it was
+        self.m = _freeze_csc(_canonical(_sp.csc_matrix(m, dtype=np.float64,
+                                                       copy=True)))
 
     @classmethod
     def _wrap(cls, m: _sp.csc_matrix) -> "SparseMatrix":
@@ -275,7 +278,7 @@ def random_sparse(rows: int, cols: int, density: float,
         raise ValueError(f"density must be in [0, 1], got {density}")
     m = _sp.random(rows, cols, density=density, random_state=rng, format="csc",
                    data_rvs=lambda n: rng.standard_normal(n))
-    return SparseMatrix(m)
+    return SparseMatrix._wrap(_canonical(m))    # m is ours: no copy
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,6 @@ class SimReport:
     decode_error: str | None
     used_workers: tuple[int, ...]
     failed_clients: tuple[int, ...]
-    privacy: PrivacyExposure
 
 
 def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
@@ -223,7 +222,6 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
         decode_error=error,
         used_workers=used,
         failed_clients=tuple(sorted(failed)),
-        privacy=privacy_report(plan, roster),
     )
 
 

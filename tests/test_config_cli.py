@@ -1,12 +1,13 @@
 """Config validation and end-to-end command-line runs."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from codedfl import cli, coding as cd, matrices as mx
+from codedfl import cli, coding as cd, decoding as dec, matrices as mx
 from codedfl.config import ConfigError, load_config, parse_config
 
 
@@ -186,13 +187,16 @@ def test_plan_writes_files_and_round_trips(tmp_path):
     assert any("plan_proposed.json" in o for o in manifest["outputs"])
 
 
-def test_verify_from_config(tmp_path):
+def test_verify_from_config(tmp_path, capsys):
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",
                                              schemes=["proposed"]))
     assert cli.main(["verify", "--config", cfg]) == 0
     doc = json.loads((tmp_path / "out" / "resilience.json").read_text())
     assert doc["subsets"]["ok"] and doc["subsets"]["exhaustive"]
     assert doc["subsets"]["subsets_checked"] == 36
+    assert len(doc["subsets"]["worst_subset"]) == doc["subsets"]["k_bar"]
+    assert f"worst subset={doc['subsets']['worst_subset']}" \
+        in capsys.readouterr().out
     assert doc["matching"]["all_perfect"]
     assert sorted(map(tuple, doc["patterns"]["maximal_tolerable"])) \
         == [(0, 0), (1,)]
@@ -215,6 +219,32 @@ def test_verify_stored_plan_and_tampered_plan(tmp_path):
                      "--out", str(tmp_path / "v2")]) == 3
     rep = json.loads((tmp_path / "v2" / "resilience.json").read_text())
     assert not rep["subsets"]["ok"]
+    assert rep["matching"]["all_perfect"]    # duplicate rows, distinct columns
+
+    # four rows on the three columns {0, 1, 2}: Hall's condition fails, and
+    # matchings searched on rank failures only agree with a search on all
+    assert doc["workers"][7]["support"] == doc["workers"][0]["support"]
+    doc["workers"][8]["support"] = doc["workers"][0]["support"]
+    tampered.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--plan", str(tampered),
+                     "--out", str(tmp_path / "v3")]) == 3
+    rep = json.loads((tmp_path / "v3" / "resilience.json").read_text())
+    plan, _ = cd.plan_from_dict(doc)
+    subsets = list(itertools.combinations(range(plan.n_bar), plan.k_bar))
+    explicit = [list(s) for s in subsets
+                if not dec.check_hall_condition(plan, s).perfect]
+    assert explicit
+    assert rep["matching"]["failures"] == explicit
+    assert rep["matching"]["checked"] == len(subsets)
+
+
+def test_verify_pattern_guard_is_exit_2(tmp_path, capsys):
+    # 2^21 straggler sets exceed the enumeration guard
+    doc = {"roster": {"active": [1] * 19, "passive": [1, 1]},
+           "out": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", cfg, "--max-stragglers", "21"]) == 2
+    assert "straggler sets exceed the guard" in capsys.readouterr().err
 
 
 def test_verify_sampled_mode(tmp_path):

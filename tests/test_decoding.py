@@ -141,6 +141,36 @@ def test_decode_any_subset_matches_direct_product(seed, k, data):
 # ---------------------------------------------------------------------------
 # subset surveys
 
+def reference_survey(plan, sample=None, seed=0):
+    """Per-subset matrix_rank/cond loop: failures, min/max cond, worst subset."""
+    G = plan.coefficient_matrix()
+    failures, conds = [], []
+    for subset in dec.iter_subsets(plan.n_bar, plan.k_bar, sample, seed):
+        sub = G[list(subset)]
+        if np.linalg.matrix_rank(sub) < plan.k_bar:
+            failures.append(subset)
+        else:
+            conds.append((float(np.linalg.cond(sub)), subset))
+    worst = max(conds, key=lambda c: c[0])     # first of equal maxima
+    return (tuple(failures), min(c for c, _ in conds), worst[0], worst[1])
+
+
+def assert_matches_reference(report, plan, sample=None, seed=0):
+    # the stacked SVD must reproduce the per-subset route bit for bit
+    assert (report.failures, report.min_cond, report.max_cond,
+            report.worst_subset) == reference_survey(plan, sample, seed)
+
+
+def tampered_plan():
+    """A 3+1 plan whose worker 3 duplicates worker 0's row."""
+    roster = cd.make_roster([1, 1, 1], [1])
+    plan = cd.build_heterogeneous_plan(roster, seed=0)
+    d = cd.plan_to_dict(plan, roster)
+    d["workers"][3]["support"] = list(d["workers"][0]["support"])
+    d["workers"][3]["coeffs"] = list(d["workers"][0]["coeffs"])
+    return cd.plan_from_dict(d)
+
+
 def test_check_all_subsets_fig1_exhaustive():
     plan = cd.build_homogeneous_plan(10, 2, seed=0)
     report = dec.check_all_subsets(plan)
@@ -149,6 +179,7 @@ def test_check_all_subsets_fig1_exhaustive():
     assert report.ok and report.exhaustive
     assert np.isfinite(report.min_cond) and np.isfinite(report.max_cond)
     assert report.min_cond <= report.max_cond
+    assert_matches_reference(report, plan)
 
 
 def test_check_all_subsets_identity_plan():
@@ -156,19 +187,16 @@ def test_check_all_subsets_identity_plan():
     report = dec.check_all_subsets(plan)
     assert report.subsets_checked == 1
     assert report.ok
+    assert report.worst_subset == (0, 1, 2, 3, 4)
 
 
 def test_check_all_subsets_flags_duplicate_rows():
-    roster = cd.make_roster([1, 1, 1], [1])
-    plan = cd.build_heterogeneous_plan(roster, seed=0)
-    d = cd.plan_to_dict(plan, roster)
-    d["workers"][3]["support"] = list(d["workers"][0]["support"])
-    d["workers"][3]["coeffs"] = list(d["workers"][0]["coeffs"])
-    tampered, _ = cd.plan_from_dict(d)
+    tampered, _ = tampered_plan()
     report = dec.check_all_subsets(tampered)
     assert not report.ok
     assert (0, 1, 2) not in report.failures
     assert any(0 in f and 3 in f for f in report.failures)
+    assert_matches_reference(report, tampered)
 
 
 def test_check_all_subsets_guard_and_sampling():
@@ -179,6 +207,11 @@ def test_check_all_subsets_guard_and_sampling():
     assert report.subsets_checked == 50
     assert not report.exhaustive
     assert report.ok
+    assert_matches_reference(report, plan, sample=50, seed=2)
+    # a sample spanning several stacked chunks
+    big = dec.check_all_subsets(plan, sample=2 * dec.RANK_CHUNK + 3, seed=4)
+    assert big.subsets_checked == 2 * dec.RANK_CHUNK + 3
+    assert_matches_reference(big, plan, sample=2 * dec.RANK_CHUNK + 3, seed=4)
 
 
 def test_resilience_report_roundtrips_to_dict():
@@ -186,6 +219,9 @@ def test_resilience_report_roundtrips_to_dict():
     d = report.to_dict()
     assert d["ok"] and d["subsets_checked"] == 28
     assert d["failures"] == []
+    assert d["worst_subset"] == list(report.worst_subset)
+    assert dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),
+                                 sample=0).to_dict()["worst_subset"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +271,19 @@ def test_matching_implies_rank_on_fig1():
         perfect = dec.check_hall_condition(plan, subset).perfect
         full = np.linalg.matrix_rank(G[list(subset)]) == 10
         assert perfect == full == True
+    # full rank implies an explicit perfect matching, which is what lets
+    # verify skip the matching search on full-rank subsets
+    hetero = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
+    plans = [tampered_plan()[0], cd.build_heterogeneous_plan(hetero, seed=1)]
+    for plan in plans:
+        G = plan.coefficient_matrix()
+        seen_failure = False
+        for subset in itertools.combinations(range(plan.n_bar), plan.k_bar):
+            full = np.linalg.matrix_rank(G[list(subset)]) == plan.k_bar
+            seen_failure |= not full
+            if full:
+                assert dec.check_hall_condition(plan, subset).perfect
+        assert seen_failure == (plan is plans[0])
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +384,20 @@ def test_homogeneous_two_client_patterns():
     report = dec.resilience_patterns(roster, plan, max_stragglers=2)
     assert report.entry((0, 0)).n_sets == 66
     assert report.entry((0, 0)).all_tolerable
+    # 1 + 12 + 66 sets fit a guard of 100; all 2^12 do not
+    assert dec.resilience_patterns(roster, plan, 2, guard=100) == report
+    with pytest.raises(dec.SubsetGuardError):
+        dec.resilience_patterns(roster, plan, guard=100)
+
+
+def test_patterns_reuse_subset_verdicts():
+    # k_bar-row survivors take their verdict from an exhaustive report
+    plan, roster = tampered_plan()
+    report = dec.check_all_subsets(plan)
+    alone = dec.resilience_patterns(roster, plan)
+    assert dec.resilience_patterns(roster, plan, subsets=report) == alone
+    # dropping worker 1 or 2 leaves the duplicate pair 0, 3
+    assert not alone.entry((0,)).all_tolerable
+    sampled = dec.check_all_subsets(plan, sample=3)
+    with pytest.raises(ValueError):
+        dec.resilience_patterns(roster, plan, subsets=sampled)

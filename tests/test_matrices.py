@@ -156,6 +156,15 @@ def test_sparse_constructor_normalises():
     s = mx.SparseMatrix(m)
     assert s.nnz() == 1
     assert s.to_dense()[0, 0] == 3.0
+    # a caller's csc matrix is normalised in a copy, not in place
+    c = sp.csc_matrix((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 2]),
+                       np.array([0, 2, 3])), shape=(3, 2))
+    s = mx.SparseMatrix(c)
+    assert s.nnz() == 2
+    np.testing.assert_array_equal(c.data, [1.0, 0.0, 2.0])
+    np.testing.assert_array_equal(c.indices, [0, 1, 2])
+    np.testing.assert_array_equal(c.indptr, [0, 2, 3])
+    assert all(part.flags.writeable for part in (c.data, c.indices, c.indptr))
 
 
 def test_dense_is_immutable():
