@@ -181,9 +181,7 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     if max_stragglers is None:
         max_stragglers = min(roster.n_clients, plan.s_bar + 1)
     try:
-        patterns = dec.resilience_patterns(
-            roster, plan, max_stragglers,
-            subsets=report if report.exhaustive else None)
+        patterns = dec.resilience_patterns(roster, plan, max_stragglers)
     except dec.SubsetGuardError as e:
         return _fail(f"{e} (lower --max-stragglers)", 2)
 

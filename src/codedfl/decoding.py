@@ -6,8 +6,8 @@ the coefficient rows of the workers actually used and Y stacks their
 product vectors; row q of U is then the block product A_q^T x.  The
 verification side is deliberately independent of that solver.  Subsets are
 ranked in chunks by one stacked SVD, which gives each subset's rank (with
-``np.linalg.matrix_rank``'s tolerance) and its condition number, and the
-straggler-pattern survey reuses those verdicts.
+``np.linalg.matrix_rank``'s tolerance) and its condition number; the
+straggler-pattern survey ranks its surviving worker sets the same way.
 
 The matching certificate follows from rank.  If sigma_min of G_S clears the
 SVD tolerance, G_S is nonsingular (the computed singular values lie within
@@ -379,59 +379,42 @@ def _contains(big: tuple, small: tuple) -> bool:
 
 
 def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
-                        max_stragglers: int | None = None, *,
-                        guard: int = SUBSET_GUARD,
-                        subsets: ResilienceReport | None = None) -> PatternReport:
+                        max_stragglers: int | None = None) -> PatternReport:
     """Classify straggler sets of physical clients by type multiset.
 
     A set is tolerable when the surviving workers still span all k_bar
     unknowns: at least k_bar coefficient rows remain and their stacked
-    matrix has full numerical rank.  Each distinct surviving worker set is
-    ranked once, batched by row count.  ``subsets``, an exhaustive
-    ``check_all_subsets`` report of this same plan, supplies the verdict for
-    survivors of exactly k_bar rows without another SVD.
+    matrix has full numerical rank.  Straggler sets stream through in chunks
+    of RANK_CHUNK, their survivors ranked by one stacked SVD per row count.
     """
     n_clients = roster.n_clients
     if max_stragglers is None:
         max_stragglers = n_clients
     total = sum(math.comb(n_clients, size) for size in range(max_stragglers + 1))
-    if total > guard:
+    if total > SUBSET_GUARD:
         raise SubsetGuardError(
-            f"{total} straggler sets exceed the guard ({guard}); "
+            f"{total} straggler sets exceed the guard ({SUBSET_GUARD}); "
             "lower max_stragglers")
-    if subsets is not None and not (
-            subsets.exhaustive and (subsets.scheme, subsets.k_bar, subsets.s_bar)
-            == (plan.scheme, plan.k_bar, plan.s_bar)):
-        raise ValueError("subsets must be an exhaustive report of this plan")
     G = plan.coefficient_matrix()
     owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
              for c in roster.clients}
+    straggler_sets = (combo for size in range(max_stragglers + 1)
+                      for combo in itertools.combinations(roster.clients, size))
     buckets: dict[tuple, list] = {}
-    ranked = []       # (pattern key, survivors) of sets leaving >= k_bar rows
-    for size in range(0, max_stragglers + 1):
-        for combo in itertools.combinations(roster.clients, size):
+    while chunk := list(itertools.islice(straggler_sets, RANK_CHUNK)):
+        by_rows: dict[int, list] = {}    # row count -> (pattern key, survivors)
+        for combo in chunk:
             removed = {w for c in combo for w in owned[c.id]}
             key = tuple(sorted(c.type_index for c in combo))
-            buckets.setdefault(key, [0, 0, len(removed)])[0] += 1
-            if plan.n_bar - len(removed) >= plan.k_bar:
-                ranked.append((key, tuple(w for w in range(plan.n_bar)
-                                          if w not in removed)))
-    full_rank = {}    # surviving workers -> verdict
-    if subsets is not None:
-        failed = set(subsets.failures)
-        full_rank = {rows: rows not in failed for _, rows in ranked
-                     if len(rows) == plan.k_bar}
-    by_size: dict[int, list] = {}
-    for rows in dict.fromkeys(rows for _, rows in ranked):
-        if rows not in full_rank:
-            by_size.setdefault(len(rows), []).append(rows)
-    for group in by_size.values():
-        for i in range(0, len(group), RANK_CHUNK):
-            chunk = group[i:i + RANK_CHUNK]
-            rank, _ = _rank_and_cond(G, chunk)
-            full_rank.update(zip(chunk, (rank == plan.k_bar).tolist()))
-    for key, rows in ranked:
-        buckets[key][1] += full_rank[rows]
+            bucket = buckets.setdefault(key, [0, 0, len(removed)])
+            bucket[0] += 1
+            rows = tuple(w for w in range(plan.n_bar) if w not in removed)
+            if len(rows) >= plan.k_bar:
+                by_rows.setdefault(len(rows), []).append((key, rows))
+        for group in by_rows.values():
+            rank, _ = _rank_and_cond(G, [rows for _, rows in group])
+            for (key, _), r in zip(group, rank):
+                buckets[key][1] += int(r == plan.k_bar)
     entries = tuple(PatternEntry(k, n, t, rv)
                     for k, (n, t, rv) in sorted(buckets.items(),
                                                 key=lambda kv: (len(kv[0]), kv[0])))

@@ -384,20 +384,36 @@ def test_homogeneous_two_client_patterns():
     report = dec.resilience_patterns(roster, plan, max_stragglers=2)
     assert report.entry((0, 0)).n_sets == 66
     assert report.entry((0, 0)).all_tolerable
-    # 1 + 12 + 66 sets fit a guard of 100; all 2^12 do not
-    assert dec.resilience_patterns(roster, plan, 2, guard=100) == report
+    # all 2^21 straggler sets of 21 clients exceed the enumeration guard
+    big = cd.make_roster([1] * 19, [1] * 2)
     with pytest.raises(dec.SubsetGuardError):
-        dec.resilience_patterns(roster, plan, guard=100)
+        dec.resilience_patterns(big, cd.build_heterogeneous_plan(big, seed=0))
 
 
-def test_patterns_reuse_subset_verdicts():
-    # k_bar-row survivors take their verdict from an exhaustive report
-    plan, roster = tampered_plan()
-    report = dec.check_all_subsets(plan)
-    alone = dec.resilience_patterns(roster, plan)
-    assert dec.resilience_patterns(roster, plan, subsets=report) == alone
-    # dropping worker 1 or 2 leaves the duplicate pair 0, 3
-    assert not alone.entry((0,)).all_tolerable
-    sampled = dec.check_all_subsets(plan, sample=3)
-    with pytest.raises(ValueError):
-        dec.resilience_patterns(roster, plan, subsets=sampled)
+def twelve_client_plan():
+    """2^12 straggler sets (two chunks) leaving 14, 13, 12 or fewer rows."""
+    roster = cd.make_roster([2, 2] + [1] * 8, [1, 1])
+    return cd.build_heterogeneous_plan(roster, seed=2), roster
+
+
+@pytest.mark.parametrize("setup", [tampered_plan, twelve_client_plan])
+def test_patterns_match_per_set_rank(setup):
+    # the batched survey equals a matrix_rank call per straggler set
+    plan, roster = setup()
+    report = dec.resilience_patterns(roster, plan)
+    G = plan.coefficient_matrix()
+    owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
+             for c in roster.clients}
+    for e in report.entries:
+        tolerable = 0
+        for combo in itertools.combinations(roster.clients, len(e.types)):
+            if tuple(sorted(c.type_index for c in combo)) != e.types:
+                continue
+            removed = {w for c in combo for w in owned[c.id]}
+            rows = [w for w in range(plan.n_bar) if w not in removed]
+            tolerable += (len(rows) >= plan.k_bar
+                          and np.linalg.matrix_rank(G[rows]) == plan.k_bar)
+        assert e.n_tolerable == tolerable
+    if setup is tampered_plan:
+        # dropping worker 1 or 2 leaves the duplicate pair 0, 3
+        assert not report.entry((0,)).all_tolerable
