@@ -99,6 +99,19 @@ def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
     return mx.random_dense(rows, spec.cols, rng)
 
 
+def _partition(cfg: ExperimentConfig, k_bar: int, zero_fraction=None):
+    """The configured matrix split into k_bar block-columns.
+
+    Only the partition is returned, so the full matrix is freed before the
+    caller encodes its blocks.
+    """
+    M = _make_matrix(cfg, zero_fraction)
+    if M.cols % k_bar != 0:
+        raise ConfigError(
+            f"matrix.cols: {M.cols} columns do not split into {k_bar} blocks")
+    return mx.partition_uniform(M, k_bar)
+
+
 def _allocation_lines(plan: cd.CodingPlan, roster: cd.ClientRoster) -> list:
     lines = [f"scheme={plan.scheme} k_bar={plan.k_bar} s_bar={plan.s_bar} "
              f"workers={plan.n_bar}"]
@@ -271,15 +284,12 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     x = None
     n_rows = 1
     if cfg.matrix is not None:
-        M = _make_matrix(cfg)
-        if M.cols % k_bar != 0:
-            raise ConfigError(
-                f"matrix.cols: {M.cols} columns do not split into {k_bar} blocks")
-        P = mx.partition_uniform(M, k_bar)
-        n_rows = M.rows
-        x = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(M.rows)
+        P = _partition(cfg, k_bar)
+        n_rows = P.rows
+        x = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(P.rows)
         for s, plan in plans.items():
             workload_by_scheme[s] = cd.encode(P, plan)
+        del P
 
     round_rows = []
     privacy_rows = []
@@ -296,6 +306,11 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
             privacy_rows.append([s, c.id, c.role, c.type_index, c.multiplier,
                                  e.raw_fraction, e.coded_support_fraction])
 
+    # the coded blocks serve the rounds only; free them before the bench
+    # section generates its own matrices (at 1000 x 31500 and 99% zeros
+    # the dense scheme's blocks alone take 95 MB)
+    del workload_by_scheme
+
     _write_csv(out / "round.csv", ROUND_HEADER, round_rows)
     _write_csv(out / "privacy.csv", PRIVACY_HEADER, privacy_rows)
     outputs += [out / "round.csv", out / "privacy.csv"]
@@ -307,9 +322,8 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
                 "bench: requires a synthetic sparse matrix section")
         bench_rows, time_rows = [], []
         for zf in cfg.bench.zero_fractions:
-            Mz = _make_matrix(cfg, zero_fraction=zf)
-            Pz = mx.partition_uniform(Mz, k_bar)
-            xz = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(Mz.rows)
+            Pz = _partition(cfg, k_bar, zero_fraction=zf)
+            xz = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(Pz.rows)
             table = sim.sparse_compute_benchmark(
                 Pz, [plans[s] for s in cfg.schemes], xz, zero_fraction=zf,
                 trials=cfg.bench.timing_trials, warmup=cfg.bench.warmup)

@@ -1,11 +1,13 @@
 """Recovery of A^T x from returned coded products, plus the certificates
 behind the straggler-resilience claims.
 
-The decoder solves G_S U = Y by row-pivoted elimination, where G_S stacks
-the coefficient rows of the workers actually used and Y stacks their
-product vectors; row q of U is then the block product A_q^T x.  The
-verification side is deliberately independent of that solver.  Subsets are
-ranked in chunks by one stacked SVD, which gives each subset's rank (with
+The decoder solves G_S U = Y by LAPACK's LU with partial pivoting (dgetrf,
+dgetrs), where G_S stacks the coefficient rows of the workers actually used
+and Y stacks their product vectors; row q of U is then the block product
+A_q^T x.  A pivot on diag(U) below PIVOT_REL_TOL times the scale of G_S
+counts as zero and fails the decode.  The verification side is
+deliberately independent of that solver.  Subsets are ranked in chunks by
+one stacked SVD, which gives each subset's rank (with
 ``np.linalg.matrix_rank``'s tolerance) and its condition number; the
 straggler-pattern survey ranks its surviving worker sets the same way.
 
@@ -121,44 +123,29 @@ def decode(problem: DecodeProblem, rows=None) -> DecodeResult:
     G = np.array([r.coeff_row for r in chosen], dtype=np.float64)
     Y = np.array([r.product for r in chosen], dtype=np.float64)
 
-    U = _solve_pivoted(G, Y, used)
+    # Imported here, not at module level: scipy.linalg costs about 7 MB and
+    # 0.07 s to import, and plan, verify and config loading never decode.
+    from scipy.linalg import lapack
+
+    # dgetrf, not lu_factor: an exactly singular G_S reaches the pivot test
+    # below through diag(U) instead of raising a LinAlgWarning first.
+    lu, piv, _ = lapack.dgetrf(G)
+    threshold = PIVOT_REL_TOL * max(1.0, np.abs(G).max())
+    small = np.flatnonzero(np.abs(np.diag(lu)) < threshold)
+    if small.size:
+        raise RankDeficientError(
+            f"zero pivot in column {small[0]} for workers {used}", used)
+    U, _ = lapack.dgetrs(lu, piv, Y)
 
     # row-wise relative residual against the rows actually used
-    errs = G @ U - Y
-    residual = 0.0
-    for i in range(k):
-        denom = np.linalg.norm(Y[i])
-        rel = np.linalg.norm(errs[i]) / (denom if denom > 0 else 1.0)
-        residual = max(residual, rel)
+    denom = np.linalg.norm(Y, axis=1)
+    rel = np.linalg.norm(G @ U - Y, axis=1) / np.where(denom > 0, denom, 1.0)
+    residual = float(rel.max())
     if residual > DECODE_TOL:
         raise RankDeficientError(
             f"solution residual {residual:.3e} exceeds {DECODE_TOL:.0e} "
             f"for workers {used}", used)
     return DecodeResult(U, residual, used)
-
-
-def _solve_pivoted(G, Y, used):
-    """Gaussian elimination with partial pivoting, explicit so the zero-pivot
-    tolerance is ours to control."""
-    k = G.shape[0]
-    A = G.copy()
-    B = Y.copy()
-    threshold = PIVOT_REL_TOL * max(1.0, np.abs(A).max())
-    for col in range(k):
-        p = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[p, col]) < threshold:
-            raise RankDeficientError(
-                f"zero pivot in column {col} for workers {used}", used)
-        if p != col:
-            A[[col, p]] = A[[p, col]]
-            B[[col, p]] = B[[p, col]]
-        factors = A[col + 1:, col] / A[col, col]
-        A[col + 1:, col:] -= np.outer(factors, A[col, col:])
-        B[col + 1:] -= np.outer(factors, B[col])
-    U = np.zeros_like(B)
-    for i in reversed(range(k)):
-        U[i] = (B[i] - A[i, i + 1:] @ U[i + 1:]) / A[i, i]
-    return U
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +215,8 @@ def check_all_subsets(plan: CodingPlan, guard: int = SUBSET_GUARD,
                       sample: int | None = None, seed: int = 0) -> ResilienceReport:
     """Rank-test every k_bar-subset of coefficient rows (or a random sample).
 
-    Rank comes from the SVD, a route fully independent of the decoder's
-    elimination, so the two can cross-check each other.  Subsets stream
+    Rank comes from the SVD, a route fully independent of the decoder's LU,
+    so the two can cross-check each other.  Subsets stream
     through in chunks of RANK_CHUNK, one stacked SVD each.
     """
     G = plan.coefficient_matrix()

@@ -191,16 +191,17 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
                  f"(failed clients: {sorted(failed)})")
     else:
         completion = finish[arrival[k - 1]]
+        # decode reads the first k arrivals only, so only those are computed
+        first = arrival[:k]
         if workload is not None and x is not None:
-            problem = dec.problem_from_workload(workload, x, arrival)
+            problem = dec.problem_from_workload(workload, x, first)
         else:
             # synthetic unknowns give the decoder real work at zero data cost
-            G = plan.coefficient_matrix()
-            U = rng.standard_normal((k, alpha))
-            products = G @ U
+            G = plan.coefficient_matrix()[first]
+            products = G @ rng.standard_normal((k, alpha))
             problem = dec.DecodeProblem(
-                tuple(dec.ReturnedResult(w, G[w], products[w]) for w in arrival),
-                k)
+                tuple(dec.ReturnedResult(w, g, p)
+                      for w, g, p in zip(first, G, products)), k)
         try:
             result = dec.decode(problem)
             decode_ok = True
@@ -291,25 +292,9 @@ class StepsizeError(ValueError):
     """Requested stepsize violates the convergence guard."""
 
 
-def power_iteration_eigmax(M, iters: int = 100, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (M @ v))
-    return lam
-
-
 def gradient_lipschitz_bound(D: np.ndarray) -> float:
     """L such that the gradient of ||D b - y||^2 is L-Lipschitz."""
-    return 2.0 * power_iteration_eigmax(D.T @ D)
+    return 2.0 * float(np.linalg.norm(D, 2)) ** 2
 
 
 def plain_gd(D, y, steps: int, stepsize: float, beta0=None):
@@ -359,7 +344,8 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
     P = partition_uniform(D, plan.k_bar)
     wl = encode(P, plan)
 
-    L = gradient_lipschitz_bound(D.to_dense())
+    dense = D.to_dense()
+    L = gradient_lipschitz_bound(dense)
     if stepsize is None:
         stepsize = 0.5 / L if L > 0 else 0.0
     if L > 0 and stepsize >= 1.0 / L:
@@ -368,7 +354,6 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
 
     clients = [c.id for c in roster.clients]
     rng = np.random.default_rng(seed)
-    dense = D.to_dense()
     beta = np.zeros(D.cols)
     betas = [beta.copy()]
     losses = []

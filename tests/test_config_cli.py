@@ -332,11 +332,12 @@ def test_simulate_matrix_from_file(tmp_path):
     assert rounds[1][9] == "true"
 
 
-def test_simulate_rejects_cols_not_divisible(tmp_path):
+def test_simulate_rejects_cols_not_divisible(tmp_path, capsys):
     doc = example_doc(tmp_path / "out", schemes=["proposed"],
                       matrix={"rows": 10, "cols": 20, "kind": "dense"})
     cfg = write_config(tmp_path, doc)
     assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "matrix.cols: 20 columns" in capsys.readouterr().err
 
 
 def test_bench_requires_sparse_matrix(tmp_path):

@@ -1,6 +1,7 @@
 """Decoding, subset rank surveys, matching certificates, straggler patterns."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -97,19 +98,30 @@ def test_decode_rank_deficient_names_subset():
     prod = np.array([3.0])
     returned = (dec.ReturnedResult(0, row, prod),
                 dec.ReturnedResult(5, row.copy(), prod.copy()))
-    with pytest.raises(dec.RankDeficientError) as exc:
-        dec.decode(dec.DecodeProblem(returned, 2))
+    # an exactly singular system fails by the pivot test, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dec.RankDeficientError) as exc:
+            dec.decode(dec.DecodeProblem(returned, 2))
     assert exc.value.subset == (0, 5)
+    assert "zero pivot in column 1" in str(exc.value)
+
+
+def diagonal_problem(diag):
+    G = np.diag(diag)
+    Y = G @ np.array([[2.0, 1.0], [3.0, -1.0]])
+    return dec.DecodeProblem(
+        tuple(dec.ReturnedResult(i, G[i], Y[i]) for i in range(2)), 2)
 
 
 def test_decode_pivot_tolerance_scales():
     # a tiny but honest pivot well above the relative threshold still solves
-    G = np.array([[1e-6, 0.0], [0.0, 1.0]])
-    U_true = np.array([[2.0, 1.0], [3.0, -1.0]])
-    Y = G @ U_true
-    returned = tuple(dec.ReturnedResult(i, G[i], Y[i]) for i in range(2))
-    res = dec.decode(dec.DecodeProblem(returned, 2))
-    np.testing.assert_allclose(res.block_products, U_true, rtol=1e-9)
+    res = dec.decode(diagonal_problem([1e-6, 1.0]))
+    np.testing.assert_allclose(res.block_products,
+                               [[2.0, 1.0], [3.0, -1.0]], rtol=1e-9)
+    # one below PIVOT_REL_TOL times the scale counts as zero
+    with pytest.raises(dec.RankDeficientError, match="column 1"):
+        dec.decode(diagonal_problem([1.0, 1e-11]))
 
 
 def test_problem_rejects_ragged_products():
@@ -136,6 +148,28 @@ def test_decode_any_subset_matches_direct_product(seed, k, data):
     res = dec.decode(dec.problem_from_workload(wl, x, workers))
     want = A.matvec_t(x)
     assert np.linalg.norm(res.concatenated() - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.integers(0, 2**32 - 1))
+def test_decode_forward_error_at_k28(plan_seed, seed):
+    # every successful decode of a random 28-of-30 subset meets the
+    # forward-error bound of a backward-stable solve, k_bar*eps*cond(G_S)
+    k, s, alpha = 28, 2, 3
+    plan = cd.build_homogeneous_plan(k, s, seed=plan_seed)
+    g = np.random.default_rng(seed)
+    A = mx.random_dense(20, k * alpha, g)
+    wl = cd.encode(mx.partition_uniform(A, k), plan)
+    x = g.standard_normal(20)
+    workers = sorted(g.permutation(k + s)[:k].tolist())
+    try:
+        res = dec.decode(dec.problem_from_workload(wl, x, workers))
+    except dec.RankDeficientError:
+        return
+    cond = np.linalg.cond(plan.coefficient_matrix()[workers])
+    want = A.matvec_t(x)
+    err = np.linalg.norm(res.concatenated() - want) / np.linalg.norm(want)
+    assert err <= k * np.finfo(np.float64).eps * cond
 
 
 # ---------------------------------------------------------------------------

@@ -331,11 +331,12 @@ def test_fl_demo_rejects_bad_shapes():
         sim.fl_demo(mx.random_dense(10, 6, g), g.standard_normal(9), roster, 3)
 
 
-def test_power_iteration_against_eig_oracle():
+def test_lipschitz_bound_is_exact():
+    # 2 * lambda_max(D^T D) to rounding, also on the 28x7 case, where 100
+    # power-iteration steps fall 2.4e-4 short
     g = rng(26)
-    for _ in range(5):
-        B = g.standard_normal((9, 5))
-        M = B.T @ B
-        got = sim.power_iteration_eigmax(M)
-        want = float(np.linalg.eigvalsh(M)[-1])
-        assert got == pytest.approx(want, rel=1e-6)
+    cases = [g.standard_normal((9, 5)) for _ in range(5)]
+    cases.append(mx.random_dense(28, 7, np.random.default_rng(19)).to_dense())
+    for D in cases:
+        want = 2.0 * float(np.linalg.eigvalsh(D.T @ D)[-1])
+        assert sim.gradient_lipschitz_bound(D) == pytest.approx(want, rel=1e-12)
