@@ -349,6 +349,9 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
 def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
     out = _out_dir(cfg)
     fl = cfg.fl if cfg.fl is not None else FlSpec()
+    n, late = cfg.roster.n_clients, fl.stragglers_per_round
+    if late > n:
+        raise ConfigError(f"fl.stragglers_per_round: must be <= {n}, got {late}")
     rng = np.random.default_rng([cfg.seed, _TAG_FL])
     D = mx.random_dense(fl.rows, fl.cols, rng)
     y = rng.standard_normal(fl.rows)
@@ -356,7 +359,8 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
         res = sim.fl_demo(D, y, cfg.roster, fl.steps, fl.stepsize,
                           seed=cfg.seed,
                           stragglers_per_round=fl.stragglers_per_round,
-                          scheme=cfg.schemes[0])
+                          scheme=cfg.schemes[0], timing=cfg.timing,
+                          poly_points=cfg.poly_points)
     except dec.DecodeError as e:
         return _fail(f"round decode failed after retries: {e}", 4)
 

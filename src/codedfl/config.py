@@ -146,13 +146,14 @@ def _parse_matrix(d) -> MatrixSpec:
     return MatrixSpec("synthetic", rows, cols, kind, zf)
 
 
-def _parse_timing(d) -> TimingModel:
+def _parse_timing(d, n_clients: int) -> TimingModel:
     _check_keys(d, "timing", {"noise", "shift_by_type", "rate_by_type",
                               "failed_clients", "failure_prob"})
     noise = _as_num(d.get("noise", 1.0), "timing.noise", lo=0.0)
     failed = d.get("failed_clients", [])
     _expect(isinstance(failed, list), "timing.failed_clients", "expected a list")
-    failed = tuple(_as_int(v, f"timing.failed_clients[{i}]", lo=0)
+    failed = tuple(_as_int(v, f"timing.failed_clients[{i}]", lo=0,
+                           hi=n_clients - 1)
                    for i, v in enumerate(failed))
     prob = _as_num(d.get("failure_prob", 0.0), "timing.failure_prob", lo=0.0)
     _expect(prob <= 1.0, "timing.failure_prob", f"must be <= 1, got {prob}")
@@ -248,7 +249,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     roster = _parse_roster(doc["roster"])
     matrix = _parse_matrix(doc["matrix"]) if "matrix" in doc else None
     scale = _as_int(doc.get("scale", 10), "scale", lo=1)
-    timing = _parse_timing(doc.get("timing", {}))
+    timing = _parse_timing(doc.get("timing", {}), roster.n_clients)
     comm = _parse_comm(doc.get("comm", {}))
     trials = _as_int(doc.get("trials", 1), "trials", lo=0)
     bench = _parse_bench(doc["bench"]) if "bench" in doc else None

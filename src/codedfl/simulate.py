@@ -1,12 +1,14 @@
 """Round-level simulation: D2D transfer cost, straggler timing, decode
 outcome, privacy exposure, sparse-compute benchmarking, and a small
-federated gradient-descent demo driven through the coded pipeline.
+federated gradient-descent demo whose every step is one simulated round.
 
 Timing is shifted-exponential per task: a virtual worker of a client with
 multiplier c needs alpha/(c*beta) time units plus nonnegative exponential
 noise, and a client's virtual workers run sequentially on its single
-processor.  Communication is a parametric per-transfer cost model; the
-absolute numbers are only meaningful relative to each other.
+processor.  A failed client is gone for the round; a late one (the demo's
+stragglers) starts once every on-time client has finished.  Communication
+is a parametric per-transfer cost model; the absolute numbers are only
+meaningful relative to each other.
 """
 
 from __future__ import annotations
@@ -96,11 +98,17 @@ class SimReport:
     comm_delay: float
     compute_finish: dict            # worker -> finish time (failed: absent)
     completion_time: float
-    decode_ok: bool
-    decode_residual: float | None
+    decoded: dec.DecodeResult | None     # None when the round failed
     decode_error: str | None
-    used_workers: tuple[int, ...]
     failed_clients: tuple[int, ...]
+
+    @property
+    def decode_ok(self) -> bool:
+        return self.decoded is not None
+
+    @property
+    def decode_residual(self) -> float | None:
+        return self.decoded.residual if self.decoded is not None else None
 
 
 def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
@@ -113,39 +121,32 @@ def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
     """
     k_bar = plan.k_bar
     specs = {s.worker: s for s in plan.specs}
-    generated: dict[int, set] = {c.id: set() for c in roster.clients}
+    raw: dict[int, set] = {c.id: set() for c in roster.clients}
+    coded: dict[int, set] = {c.id: set() for c in roster.clients}
     for q in range(k_bar):
-        generated[specs[q].owner_client].add(q)
-    raw_recv: dict[int, set] = {c.id: set() for c in roster.clients}
-    coded_recv: dict[int, set] = {c.id: set() for c in roster.clients}
+        raw[specs[q].owner_client].add(q)
     for t in plan.transfers:
         if t.kind == "raw":
-            raw_recv[t.dst].add(t.payload)
+            raw[t.dst].add(t.payload)
         else:
-            coded_recv[t.dst].update(specs[t.payload].support)
-    out = []
-    for c in roster.clients:
-        raw = generated[c.id] | raw_recv[c.id]
-        out.append(ClientExposure(
-            c.id,
-            Fraction(len(raw), k_bar),
-            Fraction(len(raw | coded_recv[c.id]), k_bar)))
-    return PrivacyExposure(tuple(out))
-
-
-def _block_bytes(comm: CommModel, rows: int, alpha: int) -> float:
-    return comm.bytes_per_element * rows * alpha
+            coded[t.dst].update(specs[t.payload].support)
+    return PrivacyExposure(tuple(
+        ClientExposure(c.id, Fraction(len(raw[c.id]), k_bar),
+                       Fraction(len(raw[c.id] | coded[c.id]), k_bar))
+        for c in roster.clients))
 
 
 def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
                    comm: CommModel, rng: np.random.Generator, *,
                    workload: EncodedWorkload | None = None,
-                   x: np.ndarray | None = None, rows: int = 1) -> SimReport:
+                   x: np.ndarray | None = None, rows: int = 1,
+                   late: tuple[int, ...] = ()) -> SimReport:
     """One full round: transfers, compute with stragglers, decode.
 
     With ``workload`` and ``x`` the decode runs on real products; without
     them it runs on synthetic products consistent with the plan's
-    coefficients, which exercises the same solver path.
+    coefficients, which exercises the same solver path.  Clients in
+    ``late`` start their tasks once the last on-time client has finished.
     """
     if workload is not None:
         alpha = workload.alpha
@@ -153,10 +154,7 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
     else:
         alpha = roster.base_width
 
-    raw = plan.raw_transfers()
-    coded = plan.coded_transfers()
-    bb = _block_bytes(comm, rows, alpha)
-    total_bytes = bb * len(plan.transfers)
+    total_bytes = comm.bytes_per_element * rows * alpha * len(plan.transfers)
     comm_delay = (comm.broadcast_cost
                   + len(plan.transfers) * comm.link_latency
                   + comm.per_byte_cost * total_bytes)
@@ -167,32 +165,33 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
             if rng.random() < timing.failure_prob:
                 failed.add(c.id)
 
-    # sequential execution per physical client, all starting after comms
+    # sequential execution per physical client, on-time clients starting
+    # after comms and late ones after the last on-time finish
     finish: dict[int, float] = {}
-    for c in roster.clients:
-        if c.id in failed:
-            continue
-        clock = comm_delay
-        for s in plan.specs:
-            if s.owner_client != c.id:
+    start = comm_delay
+    for is_late in (False, True):
+        for c in roster.clients:
+            if c.id in failed or (c.id in late) != is_late:
                 continue
-            clock += timing.task_time(c, alpha, roster.base_speed, rng)
-            finish[s.worker] = clock
+            clock = start
+            for s in plan.specs:
+                if s.owner_client == c.id:
+                    clock += timing.task_time(c, alpha, roster.base_speed, rng)
+                    finish[s.worker] = clock
+        start = max(finish.values(), default=comm_delay)
 
     arrival = sorted(finish, key=lambda w: (finish[w], w))
     k = plan.k_bar
-    decode_ok = False
-    residual = None
-    error = None
-    used: tuple[int, ...] = ()
+    result = error = None
     if len(arrival) < k:
         completion = math.inf
         error = (f"insufficient results: {len(arrival)} of {k} needed "
                  f"(failed clients: {sorted(failed)})")
     else:
         completion = finish[arrival[k - 1]]
-        # decode reads the first k arrivals only, so only those are computed
-        first = arrival[:k]
+        # decode reads the first k arrivals only, so only those are computed;
+        # worker order makes the result depend on who arrived, not when
+        first = sorted(arrival[:k])
         if workload is not None and x is not None:
             problem = dec.problem_from_workload(workload, x, first)
         else:
@@ -204,24 +203,19 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
                       for w, g, p in zip(first, G, products)), k)
         try:
             result = dec.decode(problem)
-            decode_ok = True
-            residual = result.residual
-            used = result.used_workers
         except dec.DecodeError as e:
             error = str(e)
 
     return SimReport(
         scheme=plan.scheme,
-        raw_block_transfers=len(raw),
-        coded_block_transfers=len(coded),
+        raw_block_transfers=len(plan.raw_transfers()),
+        coded_block_transfers=len(plan.coded_transfers()),
         total_bytes_d2d=total_bytes,
         comm_delay=comm_delay,
         compute_finish=finish,
         completion_time=completion,
-        decode_ok=decode_ok,
-        decode_residual=residual,
+        decoded=result,
         decode_error=error,
-        used_workers=used,
         failed_clients=tuple(sorted(failed)),
     )
 
@@ -321,28 +315,29 @@ class FlResult:
     stepsize: float
     lipschitz: float
     rounds_retried: int
-    straggled: tuple[tuple[int, ...], ...]   # per step, clients dropped
+    straggled: tuple[tuple[int, ...], ...]   # per step, clients started late
 
 
 def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = None,
             seed: int = 0, stragglers_per_round: int = 0,
-            scheme: str = "proposed", max_retries: int = 5) -> FlResult:
+            scheme: str = "proposed", max_retries: int = 5,
+            timing: TimingModel = TimingModel(), poly_points=None) -> FlResult:
     """Gradient descent where every gradient is decoded from coded products.
 
     The driver keeps the forward pass local and routes the heavy product
-    D^T e through encode / straggle / decode each step.  A failed decode
-    retries the round with a fresh straggler draw.
+    D^T e through one simulate_round per step, with
+    ``stragglers_per_round`` clients drawn to start late.  A round that
+    fails to decode is retried with a fresh straggler draw.
     """
     D = as_matrix(D)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != D.rows:
         raise ValueError(f"y has length {y.shape[0]}, expected {D.rows}")
-    plan = build_plan(scheme, roster, seed)
+    plan = build_plan(scheme, roster, seed, poly_points)
     if D.cols % plan.k_bar != 0:
         raise ValueError(
             f"{D.cols} columns do not split into k_bar={plan.k_bar} blocks")
-    P = partition_uniform(D, plan.k_bar)
-    wl = encode(P, plan)
+    wl = encode(partition_uniform(D, plan.k_bar), plan)
 
     dense = D.to_dense()
     L = gradient_lipschitz_bound(dense)
@@ -353,7 +348,8 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
             f"stepsize {stepsize:.3e} >= 1/L = {1.0 / L:.3e}; refusing to run")
 
     clients = [c.id for c in roster.clients]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)            # straggler draws
+    round_rng = np.random.default_rng([seed, 1])  # round timing draws
     beta = np.zeros(D.cols)
     betas = [beta.copy()]
     losses = []
@@ -363,20 +359,19 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
         e = dense @ beta - y
         losses.append(float(e @ e))
         for attempt in range(max_retries + 1):
-            drop = tuple(sorted(
+            late = tuple(sorted(
                 int(c) for c in rng.choice(clients, size=stragglers_per_round,
                                            replace=False)))
-            alive = [s.worker for s in plan.specs if s.owner_client not in drop]
-            try:
-                result = dec.decode(dec.problem_from_workload(wl, e, alive))
+            # comm delay shifts every finish alike, never who decodes
+            rep = simulate_round(plan, roster, timing, CommModel(), round_rng,
+                                 workload=wl, x=e, late=late)
+            if rep.decode_ok:
                 break
-            except dec.DecodeError:
-                retried += 1
-                if attempt == max_retries:
-                    raise
-        straggled.append(drop)
-        grad = 2.0 * result.concatenated()
-        beta = beta - stepsize * grad
+            retried += 1
+            if attempt == max_retries:
+                raise dec.DecodeError(rep.decode_error)
+        straggled.append(late)
+        beta = beta - stepsize * 2.0 * rep.decoded.concatenated()
         betas.append(beta.copy())
     losses.append(float(np.linalg.norm(dense @ beta - y) ** 2))
     return FlResult(np.array(betas), np.array(losses), stepsize, L, retried,

@@ -3,6 +3,8 @@
 import csv
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +394,44 @@ def test_fl_demo_bad_stepsize_is_config_error(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert cli.main(["fl-demo", "--config", cfg]) == 2
+
+
+def test_fl_demo_builds_plan_with_poly_points(tmp_path, capsys):
+    doc = {"scheme": "poly", "poly_points": [0, 1, 2],
+           "roster": {"active": [1] * 7, "passive": [1, 1]},
+           "fl": {"rows": 28, "cols": 7, "steps": 3},
+           "out": str(tmp_path / "fl")}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["plan", "--config", cfg]) == 2
+    assert cli.main(["fl-demo", "--config", cfg]) == 2
+    assert "3 evaluation points for 9 workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    minimal_doc(fl={"rows": 12, "cols": 3, "stragglers_per_round": 4}),
+    {"roster": {"active": [3]}},   # no fl section: the default of 2
+], ids=["fl-section", "default"])
+def test_stragglers_beyond_roster_is_config_error(tmp_path, capsys, doc):
+    doc = dict(doc, out=str(tmp_path / "fl"))
+    assert cli.main(["fl-demo", "--config", write_config(tmp_path, doc)]) == 2
+    assert "fl.stragglers_per_round" in capsys.readouterr().err
+
+
+def test_failed_client_without_client_is_config_error(tmp_path, capsys):
+    doc = example_doc(tmp_path / "out", timing={"failed_clients": [1, 99]})
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg, "--require-decode"]) == 2
+    assert "timing.failed_clients[1]" in capsys.readouterr().err
+
+
+def test_readme_config_runs(tmp_path):
+    # the documented example config, exactly as README.md shows it
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = write_config(tmp_path, json.loads(block))
+    out = str(tmp_path / "results")
+    for seed in ("1", "2", "7"):
+        assert cli.main(["fl-demo", "--config", cfg, "--check", "--seed", seed,
+                         "--out", out]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--require-decode",
+                     "--out", out]) == 0

@@ -128,6 +128,25 @@ def test_two_stragglers_decode_three_do_not():
     assert bad.completion_time == float("inf")
 
 
+def test_late_clients_finish_after_on_time_ones_and_still_decode():
+    # clients 0 (multiplier 2) and 5 (passive) hold three virtual workers,
+    # one more than s_bar = 2, so decoding needs one late product
+    roster, plan = example2()
+    late = (0, 5)
+    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=0),
+                             sim.CommModel(), rng(15), late=late)
+    owner = {s.worker: s.owner_client for s in plan.specs}
+    on_time = [t for w, t in rep.compute_finish.items() if owner[w] not in late]
+    tardy = [t for w, t in rep.compute_finish.items() if owner[w] in late]
+    assert len(tardy) == 3 and len(on_time) == plan.n_bar - 3
+    assert min(tardy) > max(on_time)
+    assert rep.decode_ok and rep.completion_time == min(tardy)
+    used = rep.decoded.used_workers
+    assert used == tuple(sorted(used))        # decoded in worker order
+    assert sum(owner[w] in late for w in used) == 1
+    assert rep.failed_clients == ()
+
+
 def test_probabilistic_failures_use_rng():
     roster = cd.make_roster([1] * 8, [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
@@ -281,17 +300,26 @@ def test_benchmark_rejects_zero_trials():
 # ---------------------------------------------------------------------------
 # FL demo
 
-def test_fl_demo_matches_uncoded_oracle():
+# On the mixed roster two late clients can hold three virtual workers, one
+# more than s_bar = 2: the round must wait for a late product, not fail.
+@pytest.mark.parametrize("active, passive, rows, cols, seed", [
+    pytest.param([1] * 6, [1] * 2, 30, 12, 20, id="6+2-seed20"),
+    pytest.param([2, 2, 1, 1, 1], [1, 1], 42, 21, 20, id="mixed-seed20"),
+    pytest.param([2, 2, 1, 1, 1], [1, 1], 42, 21, 21, id="mixed-seed21"),
+    pytest.param([2, 2, 1, 1, 1], [1, 1], 42, 21, 22, id="mixed-seed22"),
+])
+def test_fl_demo_matches_uncoded_oracle(active, passive, rows, cols, seed):
     g = rng(19)
-    D = mx.random_dense(30, 12, g)
-    y = g.standard_normal(30)
-    roster = cd.make_roster([1] * 6, [1] * 2)
-    res = sim.fl_demo(D, y, roster, steps=40, seed=20, stragglers_per_round=2)
+    D = mx.random_dense(rows, cols, g)
+    y = g.standard_normal(rows)
+    roster = cd.make_roster(active, passive)
+    res = sim.fl_demo(D, y, roster, steps=40, seed=seed, stragglers_per_round=2)
     betas, losses = sim.plain_gd(D, y, 40, res.stepsize)
     for t in range(41):
         scale = max(np.linalg.norm(betas[t]), 1.0)
         assert np.linalg.norm(res.betas[t] - betas[t]) <= 1e-6 * scale
     assert np.all(np.diff(res.losses) <= 1e-12)
+    assert res.rounds_retried == 0
     assert len(res.straggled) == 40
     assert all(len(s) == 2 for s in res.straggled)
 
