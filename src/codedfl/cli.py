@@ -31,8 +31,7 @@ from .config import ConfigError, ExperimentConfig, FlSpec, load_config
 _TAG_MATRIX, _TAG_X, _TAG_TRIAL, _TAG_FL = 1, 2, 3, 4
 
 _CONFIG_ERRORS = (ConfigError, cd.RosterError, cd.PlanError, sim.SimConfigError,
-                  sim.StepsizeError, mx.PartitionError, mx.ExpansionError,
-                  mx.ShapeError)
+                  sim.StepsizeError, mx.PartitionError, mx.ShapeError)
 
 
 def _fail(msg: str, code: int) -> int:
@@ -100,10 +99,10 @@ def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
 
 
 def _partition(cfg: ExperimentConfig, k_bar: int, zero_fraction=None):
-    """The configured matrix split into k_bar block-columns.
+    """The configured matrix viewed as k_bar block-columns.
 
-    Only the partition is returned, so the full matrix is freed before the
-    caller encodes its blocks.
+    The partition holds the matrix itself, so the matrix lives exactly as
+    long as the caller keeps the partition.
     """
     M = _make_matrix(cfg, zero_fraction)
     if M.cols % k_bar != 0:
@@ -239,13 +238,13 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     return 0
 
 
-def _simulate_rounds(cfg, plan, workload, x, n_rows):
+def _simulate_rounds(cfg, plan, workload, x):
     rows = []
     any_decode_failure = False
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, _TAG_TRIAL, t])
         rep = sim.simulate_round(plan, cfg.roster, cfg.timing, cfg.comm, rng,
-                                 workload=workload, x=x, rows=n_rows)
+                                 workload=workload, x=x)
         any_decode_failure |= not rep.decode_ok
         rows.append([
             rep.scheme, t, plan.k_bar, plan.s_bar,
@@ -282,10 +281,8 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
 
     workload_by_scheme = {}
     x = None
-    n_rows = 1
     if cfg.matrix is not None:
         P = _partition(cfg, k_bar)
-        n_rows = P.rows
         x = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(P.rows)
         for s, plan in plans.items():
             workload_by_scheme[s] = cd.encode(P, plan)
@@ -296,8 +293,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     any_failure = False
     for s in cfg.schemes:
         plan = plans[s]
-        rows, failed = _simulate_rounds(cfg, plan, workload_by_scheme.get(s),
-                                        x, n_rows)
+        rows, failed = _simulate_rounds(cfg, plan, workload_by_scheme.get(s), x)
         any_failure |= failed
         round_rows += rows
         exposure = sim.privacy_report(plan, cfg.roster)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sp
 
-from .matrices import Matrix, PartitionedMatrix, SparseMatrix, linear_combination
+from .matrices import DenseMatrix, Matrix, PartitionedMatrix, SparseMatrix
 
 
 class RosterError(ValueError):
@@ -325,43 +325,42 @@ class EncodedWorkload:
         return len(self.coded)
 
 
-def _check_plan_fits(P: PartitionedMatrix, plan: CodingPlan) -> int:
-    if P.k != plan.k_bar:
-        raise PlanError(f"partition has {P.k} blocks, plan expects {plan.k_bar}")
-    return P.require_uniform()
-
-
 def iter_encoded_blocks(P: PartitionedMatrix, plan: CodingPlan):
     """Yield (worker, coded block) lazily; holds one coded block at a time.
 
     For sparse input the whole combination is one sparse product
-    H @ kron(g^T, I_alpha) with H the block concatenation, so cost scales
-    with the nnz of the supported blocks only.
+    A @ kron(g^T, I_alpha) with A the partitioned matrix itself, so cost
+    scales with the nnz of the supported blocks only.  Dense input sums
+    ``c * A_q`` over the support, in support order.
     """
-    alpha = _check_plan_fits(P, plan)
+    if P.k != plan.k_bar:
+        raise PlanError(f"partition has {P.k} blocks, plan expects {plan.k_bar}")
+    alpha = P.alpha
     if P.kind == "sparse":
-        H = _sp.hstack([b.m for b in P.blocks], format="csc")
         eye = _sp.identity(alpha, format="csc")
         for spec in plan.specs:
             row = _sp.csc_matrix(
                 (spec.coeffs, (list(spec.support), [0] * len(spec.support))),
                 shape=(plan.k_bar, 1))
-            yield spec.worker, SparseMatrix._wrap(H @ _sp.kron(row, eye, format="csc"))
+            yield spec.worker, SparseMatrix._wrap(
+                P.matrix.m @ _sp.kron(row, eye, format="csc"))
     else:
+        a = P.matrix.a
         for spec in plan.specs:
-            blocks = [P.blocks[q] for q in spec.support]
-            yield spec.worker, linear_combination(blocks, spec.coeffs)
+            out = np.zeros((P.rows, alpha))
+            for c, q in zip(spec.coeffs, spec.support):
+                out += c * a[:, q * alpha:(q + 1) * alpha]
+            yield spec.worker, DenseMatrix(out)
 
 
 def encode(P: PartitionedMatrix, plan: CodingPlan) -> EncodedWorkload:
     """Materialize every worker's coded block per the plan's coefficients."""
-    alpha = _check_plan_fits(P, plan)
     coded = [None] * plan.n_bar
     for w, blk in iter_encoded_blocks(P, plan):
         coded[w] = blk
     G = plan.coefficient_matrix()
     G.setflags(write=False)
-    return EncodedWorkload(tuple(coded), G, alpha)
+    return EncodedWorkload(tuple(coded), G, P.alpha)
 
 
 # ---------------------------------------------------------------------------

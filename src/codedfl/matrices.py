@@ -1,4 +1,4 @@
-"""Dense and compressed-sparse matrix storage with block-column partitioning.
+"""Dense and compressed-sparse matrix storage with block-column views.
 
 Every matrix in this package is one of two immutable wrapper types:
 ``DenseMatrix`` (a C-ordered float64 array) or ``SparseMatrix`` (CSC
@@ -6,8 +6,8 @@ storage without duplicate coordinates; the constructor also sorts indices
 and drops zeros, arithmetic results keep their kernel's index order).
 Both expose the same small surface: ``matvec_t`` (the transpose product
 M^T x), ``nnz``, ``column_slice`` and ``to_dense``.
-``PartitionedMatrix`` holds a matrix as an ordered list of disjoint
-block-columns, the unit of work distributed to clients.
+``PartitionedMatrix`` views a matrix as k equal block-columns, the unit of
+work distributed to clients; it holds the matrix itself, not block copies.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from scipy.io import mmread, mmwrite
 
 
 class PartitionError(ValueError):
-    """Block widths do not tile the matrix columns."""
-
-
-class ExpansionError(ValueError):
-    """Block widths are not divisible into the requested uniform width."""
+    """The matrix columns do not split into the requested equal blocks."""
 
 
 class ShapeError(ValueError):
@@ -165,103 +161,36 @@ def as_matrix(obj) -> Matrix:
 
 @dataclass(frozen=True)
 class PartitionedMatrix:
-    """A matrix held as an ordered tuple of disjoint block-columns.
+    """A matrix viewed as ``k`` equal block-columns, without copying it.
 
-    ``block_cols`` is the uniform block width when all blocks share one
-    (the homogeneous / expanded form), else ``None``.
+    Block q is columns ``q*alpha .. (q+1)*alpha - 1`` of ``matrix``.
     """
 
-    blocks: tuple[Matrix, ...]
-    block_cols: int | None
-    total_cols: int
+    matrix: Matrix
+    k: int
 
     @property
-    def k(self) -> int:
-        return len(self.blocks)
+    def alpha(self) -> int:
+        return self.matrix.cols // self.k
 
     @property
     def rows(self) -> int:
-        return self.blocks[0].rows
+        return self.matrix.rows
 
     @property
     def kind(self) -> str:
-        return self.blocks[0].kind
+        return self.matrix.kind
 
-    def widths(self) -> tuple[int, ...]:
-        return tuple(b.cols for b in self.blocks)
-
-    def require_uniform(self) -> int:
-        if self.block_cols is None:
-            raise ExpansionError(f"blocks have non-uniform widths {self.widths()}")
-        return self.block_cols
-
-    def concat(self) -> Matrix:
-        """Horizontal concatenation of the blocks, reconstructing the matrix."""
-        if self.kind == "dense":
-            return DenseMatrix(np.hstack([b.a for b in self.blocks]))
-        return SparseMatrix._wrap(_sp.hstack([b.m for b in self.blocks], format="csc"))
-
-
-def partition(A, widths) -> PartitionedMatrix:
-    """Split ``A`` into consecutive block-columns of the given widths."""
-    A = as_matrix(A)
-    widths = [int(w) for w in widths]
-    if any(w < 1 for w in widths):
-        raise PartitionError(f"every width must be >= 1, got {widths}")
-    if sum(widths) != A.cols:
-        raise PartitionError(
-            f"widths sum to {sum(widths)} but the matrix has {A.cols} columns")
-    blocks = []
-    j = 0
-    for w in widths:
-        blocks.append(A.column_slice(j, j + w))
-        j += w
-    uniform = widths[0] if all(w == widths[0] for w in widths) else None
-    return PartitionedMatrix(tuple(blocks), uniform, A.cols)
+    def block(self, q: int) -> Matrix:
+        return self.matrix.column_slice(q * self.alpha, (q + 1) * self.alpha)
 
 
 def partition_uniform(A, k: int) -> PartitionedMatrix:
-    """Split ``A`` into ``k`` equal-width block-columns."""
+    """View ``A`` as ``k`` equal-width block-columns."""
     A = as_matrix(A)
     if k < 1 or A.cols % k != 0:
         raise PartitionError(f"{A.cols} columns cannot be split into {k} equal blocks")
-    return partition(A, [A.cols // k] * k)
-
-
-def matvec_t(M, x: np.ndarray) -> np.ndarray:
-    """Compute M^T x."""
-    return as_matrix(M).matvec_t(x)
-
-
-def nnz(M) -> int:
-    """Number of stored nonzeros (for dense input, count of entries != 0)."""
-    return as_matrix(M).nnz()
-
-
-def linear_combination(blocks, coeffs) -> Matrix:
-    """Entrywise sum of ``coeffs[q] * blocks[q]`` over equally shaped blocks."""
-    blocks = [as_matrix(b) for b in blocks]
-    coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
-    if len(blocks) == 0:
-        raise ShapeError("linear_combination of an empty block list")
-    if coeffs.shape[0] != len(blocks):
-        raise ShapeError(f"{coeffs.shape[0]} coefficients for {len(blocks)} blocks")
-    shape = (blocks[0].rows, blocks[0].cols)
-    kind = blocks[0].kind
-    for b in blocks:
-        if (b.rows, b.cols) != shape:
-            raise ShapeError(f"block shapes differ: {(b.rows, b.cols)} vs {shape}")
-        if b.kind != kind:
-            raise ShapeError("blocks mix dense and sparse representations")
-    if kind == "dense":
-        out = np.zeros(shape)
-        for c, b in zip(coeffs, blocks):
-            out += c * b.a
-        return DenseMatrix(out)
-    acc = coeffs[0] * blocks[0].m
-    for c, b in zip(coeffs[1:], blocks[1:]):
-        acc = acc + c * b.m
-    return SparseMatrix._wrap(acc)
+    return PartitionedMatrix(A, k)
 
 
 # ---------------------------------------------------------------------------

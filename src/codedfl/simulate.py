@@ -139,20 +139,19 @@ def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
 def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
                    comm: CommModel, rng: np.random.Generator, *,
                    workload: EncodedWorkload | None = None,
-                   x: np.ndarray | None = None, rows: int = 1,
+                   x: np.ndarray | None = None,
                    late: tuple[int, ...] = ()) -> SimReport:
     """One full round: transfers, compute with stragglers, decode.
 
-    With ``workload`` and ``x`` the decode runs on real products; without
-    them it runs on synthetic products consistent with the plan's
+    With ``workload`` the decode runs on its real products with ``x``;
+    without one it runs on synthetic products consistent with the plan's
     coefficients, which exercises the same solver path.  Clients in
     ``late`` start their tasks once the last on-time client has finished.
     """
     if workload is not None:
-        alpha = workload.alpha
-        rows = workload.coded[0].rows
+        alpha, rows = workload.alpha, workload.coded[0].rows
     else:
-        alpha = roster.base_width
+        alpha, rows = roster.base_width, 1
 
     total_bytes = comm.bytes_per_element * rows * alpha * len(plan.transfers)
     comm_delay = (comm.broadcast_cost
@@ -192,7 +191,7 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
         # decode reads the first k arrivals only, so only those are computed;
         # worker order makes the result depend on who arrived, not when
         first = sorted(arrival[:k])
-        if workload is not None and x is not None:
+        if workload is not None:
             problem = dec.problem_from_workload(workload, x, first)
         else:
             # synthetic unknowns give the decoder real work at zero data cost
@@ -272,7 +271,7 @@ def sparse_compute_benchmark(P: PartitionedMatrix, plans, x,
         rows.append(BenchmarkRow(
             scheme=plan.scheme, zero_fraction=zero_fraction,
             k_bar=plan.k_bar, n_workers=plan.n_bar,
-            alpha=P.require_uniform(), rows=P.rows,
+            alpha=P.alpha, rows=P.rows,
             mean_nnz=float(np.mean(nnzs)), max_nnz=int(np.max(nnzs)),
             mean_time=float(np.mean(times)), max_time=float(np.max(times)),
             trials=trials))

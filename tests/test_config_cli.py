@@ -435,3 +435,11 @@ def test_readme_config_runs(tmp_path):
                          "--out", out]) == 0
     assert cli.main(["simulate", "--config", cfg, "--require-decode",
                      "--out", out]) == 0
+
+
+def test_readme_minimal_round_runs():
+    # README's "A minimal round" example, exactly as shown, asserts included
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    assert "partition_uniform" in block and "dec.decode" in block
+    exec(compile(block, "README.md", "exec"), {})

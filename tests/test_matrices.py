@@ -1,4 +1,4 @@
-"""Block-column partitioning and the shared matrix surface."""
+"""Block-column views and the shared matrix surface."""
 
 import numpy as np
 import pytest
@@ -17,39 +17,29 @@ def rng(seed=0):
 # partitioning
 
 def test_partition_uniform_shapes_and_roundtrip():
-    A = mx.random_dense(12, 20, rng())
-    P = mx.partition_uniform(A, 5)
-    assert P.k == 5
-    assert P.block_cols == 4
-    assert P.widths() == (4, 4, 4, 4, 4)
-    # concatenating the blocks reconstructs A exactly
-    np.testing.assert_array_equal(P.concat().to_dense(), A.to_dense())
-
-
-def test_partition_nonuniform_widths():
-    A = mx.random_dense(6, 10, rng(1))
-    P = mx.partition(A, [2, 4, 4])
-    assert P.widths() == (2, 4, 4)
-    assert P.block_cols is None
-    with pytest.raises(mx.ExpansionError):
-        P.require_uniform()
-    np.testing.assert_array_equal(P.concat().to_dense(), A.to_dense())
+    for A in (mx.random_dense(12, 20, rng()),
+              mx.random_sparse(12, 20, 0.3, rng())):
+        P = mx.partition_uniform(A, 5)
+        assert (P.k, P.alpha, P.rows, P.kind) == (5, 4, 12, A.kind)
+        # the partition holds the caller's matrix, not a copy of it
+        assert P.matrix is A
+        # the blocks side by side reconstruct A exactly
+        np.testing.assert_array_equal(
+            np.hstack([P.block(q).to_dense() for q in range(P.k)]),
+            A.to_dense())
 
 
 def test_partition_blocks_are_consecutive_columns():
     A = mx.DenseMatrix(np.arange(24, dtype=float).reshape(4, 6))
     P = mx.partition_uniform(A, 3)
-    np.testing.assert_array_equal(P.blocks[1].to_dense(), A.to_dense()[:, 2:4])
+    np.testing.assert_array_equal(P.block(1).to_dense(), A.to_dense()[:, 2:4])
 
 
 def test_partition_rejects_bad_widths():
     A = mx.random_dense(3, 10, rng(2))
-    with pytest.raises(mx.PartitionError):
-        mx.partition(A, [3, 3, 3])          # sums to 9, not 10
-    with pytest.raises(mx.PartitionError):
-        mx.partition(A, [10, 0])            # zero width
-    with pytest.raises(mx.PartitionError):
-        mx.partition_uniform(A, 3)          # 10 % 3 != 0
+    for k in (0, -1, 3, 11):                # k < 1, or 10 % k != 0
+        with pytest.raises(mx.PartitionError):
+            mx.partition_uniform(A, k)
 
 
 # ---------------------------------------------------------------------------
@@ -79,65 +69,25 @@ def test_blockwise_matvec_t_concatenates():
     A = mx.random_dense(8, 12, rng(9))
     x = rng(10).standard_normal(8)
     P = mx.partition_uniform(A, 4)
-    stacked = np.concatenate([b.matvec_t(x) for b in P.blocks])
+    stacked = np.concatenate([P.block(q).matvec_t(x) for q in range(P.k)])
     np.testing.assert_allclose(stacked, A.matvec_t(x), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# linear combinations
-
-def test_linear_combination_dense_matches_manual_sum():
-    P = mx.partition_uniform(mx.random_dense(6, 9, rng(11)), 3)
-    coeffs = [0.5, -2.0, 3.25]
-    got = mx.linear_combination(P.blocks, coeffs)
-    want = sum(c * b.to_dense() for c, b in zip(coeffs, P.blocks))
-    np.testing.assert_allclose(got.to_dense(), want, atol=1e-12)
-
-
-def test_linear_combination_sparse_pattern_containment():
-    blocks = [mx.random_sparse(30, 8, 0.1, rng(s)) for s in (12, 13, 14)]
-    out = mx.linear_combination(blocks, [1.0, 2.0, -1.0])
-    assert out.nnz() <= sum(b.nnz() for b in blocks)
-    # the combined pattern lies inside the union of the input patterns
-    union = np.zeros((30, 8), dtype=bool)
-    for b in blocks:
-        union |= b.to_dense() != 0
-    assert np.all((out.to_dense() != 0) <= union)
-
-
-def test_linear_combination_sparse_matches_dense_route():
-    blocks = [mx.random_sparse(25, 6, 0.15, rng(s)) for s in (15, 16)]
-    coeffs = [1.5, -0.25]
-    got = mx.linear_combination(blocks, coeffs).to_dense()
-    want = coeffs[0] * blocks[0].to_dense() + coeffs[1] * blocks[1].to_dense()
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_linear_combination_rejects_mismatches():
-    a = mx.random_dense(4, 3, rng(17))
-    b = mx.random_dense(4, 2, rng(18))
-    with pytest.raises(mx.ShapeError):
-        mx.linear_combination([a, b], [1.0, 1.0])
-    with pytest.raises(mx.ShapeError):
-        mx.linear_combination([a], [1.0, 2.0])
-    with pytest.raises(mx.ShapeError):
-        mx.linear_combination([], [])
-    s = mx.random_sparse(4, 3, 0.5, rng(19))
-    with pytest.raises(mx.ShapeError):
-        mx.linear_combination([a, s], [1.0, 1.0])
-
+# coded combinations
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 4))
 def test_combination_commutes_with_matvec_t(seed, k, alpha):
-    # (sum_q g_q B_q)^T x == sum_q g_q (B_q^T x)
+    # (sum_q g_q B_q)^T x == sum_q g_q (B_q^T x) for every coded block
     g = np.random.default_rng(seed)
     P = mx.partition_uniform(mx.random_dense(7, k * alpha, g), k)
-    coeffs = g.uniform(-1, 1, size=k)
+    wl = cd.encode(P, cd.build_dense_plan(cd.make_roster([1] * k), seed=seed))
     x = g.standard_normal(7)
-    left = mx.linear_combination(P.blocks, coeffs).matvec_t(x)
-    right = sum(c * b.matvec_t(x) for c, b in zip(coeffs, P.blocks))
-    np.testing.assert_allclose(left, right, atol=1e-10)
+    per_block = [P.block(q).matvec_t(x) for q in range(k)]
+    for coeffs, blk in zip(wl.G, wl.coded):
+        right = sum(c * p for c, p in zip(coeffs, per_block))
+        np.testing.assert_allclose(blk.matvec_t(x), right, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +129,7 @@ def test_sparse_is_immutable():
     P = mx.partition_uniform(S, 3)
     plan = cd.build_dense_plan(cd.make_roster([1] * 3, [1]), seed=24)
     coded = cd.encode(P, plan).coded[0]
-    cases = [S, P.blocks[1], coded,
-             mx.linear_combination(P.blocks, [1.0, -2.0, 0.5]), P.concat()]
+    cases = [S, P.block(1), coded]
     for M in cases:
         for part in (M.m.data, M.m.indices, M.m.indptr):
             with pytest.raises(ValueError):

@@ -259,7 +259,7 @@ def test_benchmark_nnz_and_ordering_small():
     assert by["proposed"].n_workers == 14
     assert by["dense"].mean_nnz > by["proposed"].mean_nnz
     # each proposed block's nnz is bounded by its three support blocks
-    support_nnz = sorted(b.nnz() for b in P.blocks)
+    support_nnz = sorted(P.block(q).nnz() for q in range(P.k))
     assert by["proposed"].max_nnz <= 3 * support_nnz[-1]
     assert by["proposed"].mean_time > 0
     assert by["dense"].zero_fraction == 0.95
@@ -271,8 +271,8 @@ def test_benchmark_dense_pattern_is_union():
     roster = cd.make_roster([1] * 4, [1])
     dense = cd.build_dense_plan(roster, seed=4)
     union = np.zeros((200, 10), dtype=bool)
-    for b in P.blocks:
-        union |= b.to_dense() != 0
+    for q in range(P.k):
+        union |= P.block(q).to_dense() != 0
     rows = sim.sparse_compute_benchmark(P, [dense], g.standard_normal(200),
                                         trials=1, warmup=0)
     assert rows[0].max_nnz == int(union.sum())
