@@ -137,7 +137,7 @@ def cmd_plan(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     outputs = []
     for scheme in cfg.schemes:
-        plan = cd.build_plan(scheme, cfg.roster, cfg.seed, cfg.poly_points)
+        plan = cd.build_plan(scheme, cfg.roster, cfg.seed)
         plan_path = out / f"plan_{scheme}.json"
         with open(plan_path, "w") as fh:
             json.dump(cd.plan_to_dict(plan, cfg.roster), fh, indent=2)
@@ -163,8 +163,7 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
         seed = args.seed if args.seed is not None else 0
         out = Path(args.out or ".")
     elif cfg is not None:
-        plan = cd.build_plan(cfg.schemes[0], cfg.roster, cfg.seed,
-                             cfg.poly_points)
+        plan = cd.build_plan(cfg.schemes[0], cfg.roster, cfg.seed)
         roster = cfg.roster
         seed = cfg.seed
         out = _out_dir(cfg)
@@ -172,15 +171,10 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
         return _fail("verify needs --plan or --config", 2)
     out.mkdir(parents=True, exist_ok=True)
 
-    sample = args.sample
-    if args.mode == "sampled" and sample is None:
-        sample = 1000
-    if args.mode == "exhaustive":
-        sample = None
     try:
-        report = dec.check_all_subsets(plan, sample=sample, seed=seed)
+        report = dec.check_all_subsets(plan, sample=args.sample, seed=seed)
     except dec.SubsetGuardError as e:
-        return _fail(f"{e} (use --mode sampled)", 2)
+        return _fail(f"{e} (use --sample N)", 2)
 
     # Full rank implies a perfect matching (see codedfl.decoding), so every
     # enumerated subset is certified and only rank failures need an
@@ -271,13 +265,9 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     out = _out_dir(cfg)
     outputs = []
 
-    plans = {s: cd.build_plan(s, cfg.roster, cfg.seed, cfg.poly_points)
-             for s in cfg.schemes}
-    k_bars = {p.k_bar for p in plans.values()}
-    if len(k_bars) != 1:
-        raise ConfigError("schemes disagree on block count; "
-                          "uncoded cannot mix with passive rosters here")
-    k_bar = k_bars.pop()
+    plans = {s: cd.build_plan(s, cfg.roster, cfg.seed) for s in cfg.schemes}
+    # every builder takes k_bar from the active clients
+    k_bar = plans[cfg.schemes[0]].k_bar
 
     workload_by_scheme = {}
     x = None
@@ -355,8 +345,7 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
         res = sim.fl_demo(D, y, cfg.roster, fl.steps, fl.stepsize,
                           seed=cfg.seed,
                           stragglers_per_round=fl.stragglers_per_round,
-                          scheme=cfg.schemes[0], timing=cfg.timing,
-                          poly_points=cfg.poly_points)
+                          scheme=cfg.schemes[0], timing=cfg.timing)
     except dec.DecodeError as e:
         return _fail(f"round decode failed after retries: {e}", 4)
 
@@ -375,7 +364,7 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
     print(f"steps={fl.steps} final_loss={_fmt(res.losses[-1])} "
           f"stepsize={_fmt(res.stepsize)} retries={res.rounds_retried}")
 
-    if check or fl.check:
+    if check:
         betas, _ = sim.plain_gd(D, y, fl.steps, res.stepsize)
         for t in range(fl.steps + 1):
             scale = max(float(np.linalg.norm(betas[t])), 1.0)
@@ -416,10 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify resilience of a plan")
     _add_common(p)
     p.add_argument("--plan", help="stored plan JSON to verify")
-    p.add_argument("--mode", choices=["exhaustive", "sampled"],
-                   default="exhaustive")
     p.add_argument("--sample", type=int,
-                   help="number of sampled subsets (implies sampled mode)")
+                   help="rank-test this many random subsets instead of all")
     p.add_argument("--max-stragglers", type=int, dest="max_stragglers",
                    help="largest straggler-set size in the pattern report")
 
@@ -446,12 +433,9 @@ def _config_from_args(args) -> ExperimentConfig | None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            if args.sample is not None:
-                args.mode = "sampled"
-            cfg = _config_from_args(args)
-            return cmd_verify(args, cfg)
         cfg = _config_from_args(args)
+        if args.command == "verify":
+            return cmd_verify(args, cfg)
         if cfg is None:
             return _fail("--config is required", 2)
         if args.command == "plan":

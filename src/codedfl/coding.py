@@ -10,7 +10,7 @@ i already holds block i, so it receives the remaining w - 1 blocks raw
 over D2D links; each passive client receives one ready-made coded block
 instead of any raw data.
 
-Baseline builders (dense random, polynomial/Vandermonde, uncoded) share
+Baseline builders (dense random, polynomial, uncoded) share
 the same plan and workload types so downstream analysis is scheme-blind.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy import sparse as _sp
 
 from .matrices import DenseMatrix, Matrix, PartitionedMatrix, SparseMatrix
@@ -76,9 +77,6 @@ class ClientRoster:
     @property
     def n_clients(self) -> int:
         return len(self.clients)
-
-    def client(self, cid: int) -> Client:
-        return self.clients[cid]
 
 
 def make_roster(active_multipliers, passive_multipliers=(),
@@ -185,15 +183,12 @@ def _cyclic_support(i: int, weight: int, k_bar: int) -> tuple[int, ...]:
     return tuple((i + d) % k_bar for d in range(weight))
 
 
-def _spec_coeffs(seed, worker: int, size: int, unit: bool):
-    if unit:
-        return tuple([1.0] * size), "unit"
+def _spec_coeffs(seed, worker: int, size: int):
     vals = draw_coeffs(worker_rng(seed, worker), size)
     return tuple(float(v) for v in vals), f"seed={seed}/worker={worker}"
 
 
-def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0,
-                             unit_coeffs: bool = False) -> CodingPlan:
+def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     """Cyclic plan over the roster's virtual workers.
 
     Active virtual worker i combines blocks S_i = {i..i+s_bar} mod k_bar;
@@ -209,12 +204,12 @@ def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0,
     weight = s_bar + 1
     specs = []
     for i in range(k_bar):
-        coeffs, tag = _spec_coeffs(seed, i, weight, unit_coeffs)
+        coeffs, tag = _spec_coeffs(seed, i, weight)
         specs.append(CodedBlockSpec(i, owner[i], _cyclic_support(i, weight, k_bar),
                                     coeffs, tag))
     for i in range(s_bar):
         w = k_bar + i
-        coeffs, tag = _spec_coeffs(seed, w, weight, unit_coeffs)
+        coeffs, tag = _spec_coeffs(seed, w, weight)
         specs.append(CodedBlockSpec(w, owner[w], _cyclic_support(i, weight, k_bar),
                                     coeffs, tag))
 
@@ -235,13 +230,12 @@ def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0,
     return CodingPlan("proposed", k_bar, s_bar, tuple(specs), tuple(transfers))
 
 
-def build_homogeneous_plan(k_a: int, s: int, seed: int = 0,
-                           unit_coeffs: bool = False) -> CodingPlan:
+def build_homogeneous_plan(k_a: int, s: int, seed: int = 0) -> CodingPlan:
     """All-multiplier-one special case: k_a active and s passive clients."""
     if not 0 <= s < k_a:
         raise RosterError(f"need 0 <= s < k_a, got k_a={k_a}, s={s}")
     roster = make_roster([1] * k_a, [1] * s)
-    return build_heterogeneous_plan(roster, seed, unit_coeffs)
+    return build_heterogeneous_plan(roster, seed)
 
 
 def _full_support_transfers(roster: ClientRoster, k_bar: int, owner):
@@ -260,52 +254,50 @@ def build_dense_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     support = tuple(range(k_bar))
     specs = []
     for w in range(k_bar + s_bar):
-        coeffs, tag = _spec_coeffs(seed, w, k_bar, False)
+        coeffs, tag = _spec_coeffs(seed, w, k_bar)
         specs.append(CodedBlockSpec(w, owner[w], support, coeffs, tag))
     return CodingPlan("dense", k_bar, s_bar, tuple(specs),
                       _full_support_transfers(roster, k_bar, owner))
 
 
-def build_poly_plan(roster: ClientRoster, points=None) -> CodingPlan:
-    """Polynomial-code baseline: worker i's row is (x_i^0, ..., x_i^{k-1})."""
+def build_poly_plan(roster: ClientRoster) -> CodingPlan:
+    """Polynomial-code baseline: worker i evaluates p(z) = sum_q T_q(z) A_q.
+
+    Worker i's row is (T_0(x_i), ..., T_{k-1}(x_i)), Chebyshev polynomials
+    at the Chebyshev nodes x_i = cos((2i+1) pi / 2n_bar).  The nodes are
+    distinct, so any k_bar rows determine p.  Both nodes and basis are
+    chosen for conditioning: monomials at the points 0..n_bar-1 make every
+    k_bar=28 subset singular to working precision (cond near 1e40).
+    """
     k_bar, s_bar, owner = expand_heterogeneous(roster)
     n_bar = k_bar + s_bar
-    if points is None:
-        points = list(range(n_bar))
-    points = [float(p) for p in points]
-    if len(points) != n_bar:
-        raise PlanError(f"{len(points)} evaluation points for {n_bar} workers")
-    if len(set(points)) != n_bar:
-        raise PlanError("evaluation points must be pairwise distinct")
+    nodes = np.cos((2 * np.arange(n_bar) + 1) * np.pi / (2 * n_bar))
+    rows = chebvander(nodes, k_bar - 1)
     support = tuple(range(k_bar))
-    specs = []
-    for w in range(n_bar):
-        row = tuple(points[w] ** q for q in range(k_bar))
-        specs.append(CodedBlockSpec(w, owner[w], support, row, f"point={points[w]}"))
-    return CodingPlan("poly", k_bar, s_bar, tuple(specs),
+    specs = tuple(
+        CodedBlockSpec(w, owner[w], support, tuple(float(v) for v in rows[w]),
+                       f"node={float(nodes[w])!r}")
+        for w in range(n_bar))
+    return CodingPlan("poly", k_bar, s_bar, specs,
                       _full_support_transfers(roster, k_bar, owner))
 
 
 def build_uncoded_plan(roster: ClientRoster) -> CodingPlan:
     """No-redundancy control: active worker i computes its own block, coeff 1."""
-    actives = make_roster([c.multiplier for c in roster.actives()],
-                          base_width=roster.base_width,
-                          base_speed=roster.base_speed)
-    k_bar, _, owner = expand_heterogeneous(actives)
+    k_bar, _, owner = expand_heterogeneous(roster)
     specs = tuple(CodedBlockSpec(i, owner[i], (i,), (1.0,), "unit")
                   for i in range(k_bar))
     return CodingPlan("uncoded", k_bar, 0, specs, ())
 
 
-def build_plan(scheme: str, roster: ClientRoster, seed: int = 0,
-               points=None) -> CodingPlan:
+def build_plan(scheme: str, roster: ClientRoster, seed: int = 0) -> CodingPlan:
     """Dispatch by scheme name."""
     if scheme == "proposed":
         return build_heterogeneous_plan(roster, seed)
     if scheme == "dense":
         return build_dense_plan(roster, seed)
     if scheme == "poly":
-        return build_poly_plan(roster, points)
+        return build_poly_plan(roster)
     if scheme == "uncoded":
         return build_uncoded_plan(roster)
     raise PlanError(f"unknown scheme {scheme!r}")

@@ -83,7 +83,6 @@ class FlSpec:
     steps: int = 100
     stepsize: float | None = None
     stragglers_per_round: int = 2
-    check: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ class ExperimentConfig:
     bench: BenchSpec | None
     fl: FlSpec | None
     out: str
-    poly_points: tuple[float, ...] | None
     raw: dict = field(compare=False, repr=False, default_factory=dict)
 
     def config_hash(self) -> str:
@@ -108,7 +106,7 @@ class ExperimentConfig:
 
 
 _TOP_KEYS = {"seed", "scheme", "schemes", "roster", "matrix", "scale", "timing",
-             "comm", "trials", "bench", "fl", "out", "poly_points"}
+             "comm", "trials", "bench", "fl", "out"}
 
 
 def _parse_roster(d) -> ClientRoster:
@@ -206,19 +204,16 @@ def _parse_bench(d) -> BenchSpec:
 
 def _parse_fl(d) -> FlSpec:
     _check_keys(d, "fl", {"rows", "cols", "steps", "stepsize",
-                          "stragglers_per_round", "check"})
+                          "stragglers_per_round"})
     step = d.get("stepsize")
     if step is not None:
         step = _as_num(step, "fl.stepsize", lo=0.0)
-    check = d.get("check", False)
-    _expect(isinstance(check, bool), "fl.check", f"expected a bool, got {check!r}")
     return FlSpec(rows=_as_int(d.get("rows", 60), "fl.rows", lo=1),
                   cols=_as_int(d.get("cols", 21), "fl.cols", lo=1),
                   steps=_as_int(d.get("steps", 100), "fl.steps", lo=0),
                   stepsize=step,
                   stragglers_per_round=_as_int(d.get("stragglers_per_round", 2),
-                                               "fl.stragglers_per_round", lo=0),
-                  check=check)
+                                               "fl.stragglers_per_round", lo=0))
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -255,15 +250,10 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     bench = _parse_bench(doc["bench"]) if "bench" in doc else None
     fl = _parse_fl(doc["fl"]) if "fl" in doc else None
     out = _as_str(doc.get("out", "."), "out")
-    points = doc.get("poly_points")
-    if points is not None:
-        _expect(isinstance(points, list), "poly_points", "expected a list")
-        points = tuple(_as_num(p, f"poly_points[{i}]")
-                       for i, p in enumerate(points))
     return ExperimentConfig(seed=seed, schemes=schemes, roster=roster,
                             matrix=matrix, scale=scale, timing=timing,
                             comm=comm, trials=trials, bench=bench, fl=fl,
-                            out=out, poly_points=points, raw=doc)
+                            out=out, raw=doc)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

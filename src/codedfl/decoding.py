@@ -141,7 +141,7 @@ def decode(problem: DecodeProblem, rows=None) -> DecodeResult:
     denom = np.linalg.norm(Y, axis=1)
     rel = np.linalg.norm(G @ U - Y, axis=1) / np.where(denom > 0, denom, 1.0)
     residual = float(rel.max())
-    if residual > DECODE_TOL:
+    if not residual <= DECODE_TOL:     # NaN and Inf fail too
         raise RankDeficientError(
             f"solution residual {residual:.3e} exceeds {DECODE_TOL:.0e} "
             f"for workers {used}", used)
@@ -211,8 +211,8 @@ def _rank_and_cond(G: np.ndarray, rows: list):
     return np.count_nonzero(S > tol, axis=-1), cond
 
 
-def check_all_subsets(plan: CodingPlan, guard: int = SUBSET_GUARD,
-                      sample: int | None = None, seed: int = 0) -> ResilienceReport:
+def check_all_subsets(plan: CodingPlan, sample: int | None = None,
+                      seed: int = 0) -> ResilienceReport:
     """Rank-test every k_bar-subset of coefficient rows (or a random sample).
 
     Rank comes from the SVD, a route fully independent of the decoder's LU,
@@ -222,10 +222,9 @@ def check_all_subsets(plan: CodingPlan, guard: int = SUBSET_GUARD,
     G = plan.coefficient_matrix()
     n_bar, k_bar = G.shape
     total = math.comb(n_bar, k_bar)
-    if sample is None and total > guard:
+    if sample is None and total > SUBSET_GUARD:
         raise SubsetGuardError(
-            f"{total} subsets exceed the exhaustive guard ({guard}); "
-            "pass a sample size to switch to sampling")
+            f"{total} subsets exceed the exhaustive guard ({SUBSET_GUARD})")
     subsets = iter_subsets(n_bar, k_bar, sample, seed)
     failures = []
     min_cond = max_cond = float("inf")

@@ -26,6 +26,9 @@ from .coding import (ClientRoster, CodingPlan, EncodedWorkload, build_plan,
 from .matrices import PartitionedMatrix, as_matrix, partition_uniform
 
 
+MAX_RETRIES = 5   # fresh straggler draws per fl_demo step before giving up
+
+
 class SimConfigError(ValueError):
     """Model parameters out of range."""
 
@@ -319,8 +322,8 @@ class FlResult:
 
 def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = None,
             seed: int = 0, stragglers_per_round: int = 0,
-            scheme: str = "proposed", max_retries: int = 5,
-            timing: TimingModel = TimingModel(), poly_points=None) -> FlResult:
+            scheme: str = "proposed",
+            timing: TimingModel = TimingModel()) -> FlResult:
     """Gradient descent where every gradient is decoded from coded products.
 
     The driver keeps the forward pass local and routes the heavy product
@@ -332,7 +335,7 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != D.rows:
         raise ValueError(f"y has length {y.shape[0]}, expected {D.rows}")
-    plan = build_plan(scheme, roster, seed, poly_points)
+    plan = build_plan(scheme, roster, seed)
     if D.cols % plan.k_bar != 0:
         raise ValueError(
             f"{D.cols} columns do not split into k_bar={plan.k_bar} blocks")
@@ -357,7 +360,7 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
     for _ in range(steps):
         e = dense @ beta - y
         losses.append(float(e @ e))
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             late = tuple(sorted(
                 int(c) for c in rng.choice(clients, size=stragglers_per_round,
                                            replace=False)))
@@ -367,7 +370,7 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
             if rep.decode_ok:
                 break
             retried += 1
-            if attempt == max_retries:
+            if attempt == MAX_RETRIES:
                 raise dec.DecodeError(rep.decode_error)
         straggled.append(late)
         beta = beta - stepsize * 2.0 * rep.decoded.concatenated()

@@ -1,5 +1,6 @@
 """Roster expansion, cyclic plan construction, baselines, and encoding."""
 
+import itertools
 import json
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_passive_pairing():
 
 
 def test_identity_plan_s0():
-    plan = cd.build_homogeneous_plan(4, 0, unit_coeffs=True)
+    plan = cd.build_uncoded_plan(cd.make_roster([1] * 4))
     assert [s.support for s in plan.specs] == [(0,), (1,), (2,), (3,)]
     assert plan.transfers == ()
     assert plan.s_bar == 0
@@ -272,27 +273,22 @@ def test_build_plan_dispatch():
 
 
 def test_poly_plan_small_vandermonde():
-    roster = cd.make_roster([1, 1], [1])
-    plan = cd.build_poly_plan(roster, points=[0, 1, 2])
+    # Chebyshev-Vandermonde rows at the Chebyshev nodes of n_bar = 5
+    roster = cd.make_roster([1, 1, 1], [1, 1])
+    plan = cd.build_poly_plan(roster)
+    nodes = np.cos((2 * np.arange(5) + 1) * np.pi / 10)
     G = plan.coefficient_matrix()
-    np.testing.assert_array_equal(G, [[1, 0], [1, 1], [1, 2]])
-    # any 2 of the 3 rows are independent
-    for drop in range(3):
-        keep = [i for i in range(3) if i != drop]
-        assert np.linalg.matrix_rank(G[keep]) == 2
-
-
-def test_poly_rejects_duplicate_points():
-    roster = cd.make_roster([1, 1], [1])
-    with pytest.raises(cd.PlanError):
-        cd.build_poly_plan(roster, points=[1, 1, 2])
-    with pytest.raises(cd.PlanError):
-        cd.build_poly_plan(roster, points=[1, 2])
+    np.testing.assert_array_equal(
+        G, np.polynomial.chebyshev.chebvander(nodes, 2))
+    np.testing.assert_allclose(G[:, 2], 2 * nodes ** 2 - 1, atol=1e-15)
+    # any 3 of the 5 rows are independent
+    for keep in itertools.combinations(range(5), 3):
+        assert np.linalg.matrix_rank(G[list(keep)]) == 3
 
 
 def test_poly_single_block_rows_all_one():
     P = mx.partition_uniform(mx.random_dense(4, 3, rng(1)), 1)
-    plan = cd.build_poly_plan(one_block_roster(3), points=[0, 5, 7])
+    plan = cd.build_poly_plan(one_block_roster(3))
     wl = cd.encode(P, plan)
     np.testing.assert_array_equal(wl.G, [[1.0], [1.0], [1.0]])
     for blk in wl.coded:
@@ -356,7 +352,7 @@ def test_encode_products_match_combined_products():
 
 def test_encode_identity_plan_returns_blocks():
     P = mx.partition_uniform(mx.random_dense(6, 8, rng(8)), 4)
-    wl = cd.encode(P, cd.build_homogeneous_plan(4, 0, unit_coeffs=True))
+    wl = cd.encode(P, cd.build_uncoded_plan(cd.make_roster([1] * 4)))
     for i in range(4):
         np.testing.assert_array_equal(wl.coded[i].to_dense(), P.block(i).to_dense())
 

@@ -121,11 +121,6 @@ def test_fl_section_and_stepsize():
         parse_config(minimal_doc(fl={"stepsize": -0.1}))
 
 
-def test_poly_points_parsed():
-    cfg = parse_config(minimal_doc(scheme="poly", poly_points=[0, 1, 2.5]))
-    assert cfg.poly_points == (0, 1, 2.5)
-
-
 def test_config_hash_tracks_content_not_key_order(tmp_path):
     a = parse_config({"seed": 4, "roster": {"active": [1, 1]}})
     b = parse_config({"roster": {"active": [1, 1]}, "seed": 4})
@@ -247,6 +242,17 @@ def test_verify_pattern_guard_is_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert cli.main(["verify", "--config", cfg, "--max-stragglers", "21"]) == 2
     assert "straggler sets exceed the guard" in capsys.readouterr().err
+
+
+def test_verify_subset_guard_is_exit_2(tmp_path, capsys):
+    # C(46, 40) = 9,366,819 subsets exceed the exhaustive guard
+    doc = {"roster": {"active": [1] * 40, "passive": [1] * 6},
+           "out": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "9366819 subsets exceed the exhaustive guard" in err
+    assert "--sample" in err
 
 
 def test_verify_sampled_mode(tmp_path):
@@ -396,15 +402,21 @@ def test_fl_demo_bad_stepsize_is_config_error(tmp_path):
     assert cli.main(["fl-demo", "--config", cfg]) == 2
 
 
-def test_fl_demo_builds_plan_with_poly_points(tmp_path, capsys):
-    doc = {"scheme": "poly", "poly_points": [0, 1, 2],
-           "roster": {"active": [1] * 7, "passive": [1, 1]},
-           "fl": {"rows": 28, "cols": 7, "steps": 3},
-           "out": str(tmp_path / "fl")}
+def test_poly_decodes_at_k28(tmp_path):
+    # the polynomial baseline at the paper's k_bar: every 28 of 30 rows
+    # decode, and the worst subset stays well conditioned
+    out = tmp_path / "out"
+    doc = {"seed": 4, "scheme": "poly",
+           "roster": {"active": [1] * 28, "passive": [1, 1]},
+           "trials": 5, "fl": {"rows": 40, "cols": 28, "steps": 20},
+           "out": str(out)}
     cfg = write_config(tmp_path, doc)
-    assert cli.main(["plan", "--config", cfg]) == 2
-    assert cli.main(["fl-demo", "--config", cfg]) == 2
-    assert "3 evaluation points for 9 workers" in capsys.readouterr().err
+    assert cli.main(["verify", "--config", cfg, "--max-stragglers", "1"]) == 0
+    rep = json.loads((out / "resilience.json").read_text())["subsets"]
+    assert rep["subsets_checked"] == 435 and rep["failures"] == []
+    assert rep["max_cond"] <= 1e5
+    assert cli.main(["simulate", "--config", cfg, "--require-decode"]) == 0
+    assert cli.main(["fl-demo", "--config", cfg, "--check"]) == 0
 
 
 @pytest.mark.parametrize("doc", [

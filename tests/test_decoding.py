@@ -29,7 +29,7 @@ def fig1_setup(seed=0, rows=30, alpha=4):
 # decode
 
 def test_decode_identity_plan_returns_products():
-    plan = cd.build_homogeneous_plan(4, 0, unit_coeffs=True)
+    plan = cd.build_uncoded_plan(cd.make_roster([1] * 4))
     A = mx.random_dense(6, 8, rng(1))
     P = mx.partition_uniform(A, 4)
     wl = cd.encode(P, plan)
@@ -105,6 +105,15 @@ def test_decode_rank_deficient_names_subset():
             dec.decode(dec.DecodeProblem(returned, 2))
     assert exc.value.subset == (0, 5)
     assert "zero pivot in column 1" in str(exc.value)
+
+
+def test_decode_rejects_nan_products():
+    # a NaN product leaves the pivots alone but poisons the residual
+    G = np.eye(2)
+    returned = (dec.ReturnedResult(0, G[0], np.array([np.nan])),
+                dec.ReturnedResult(1, G[1], np.array([1.0])))
+    with pytest.raises(dec.RankDeficientError, match="residual nan"):
+        dec.decode(dec.DecodeProblem(returned, 2))
 
 
 def diagonal_problem(diag):
@@ -236,8 +245,8 @@ def test_check_all_subsets_flags_duplicate_rows():
 def test_check_all_subsets_guard_and_sampling():
     plan = cd.build_homogeneous_plan(30, 10, seed=1)
     with pytest.raises(dec.SubsetGuardError):
-        dec.check_all_subsets(plan, guard=1000)
-    report = dec.check_all_subsets(plan, guard=1000, sample=50, seed=2)
+        dec.check_all_subsets(plan)
+    report = dec.check_all_subsets(plan, sample=50, seed=2)
     assert report.subsets_checked == 50
     assert not report.exhaustive
     assert report.ok
