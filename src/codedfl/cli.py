@@ -152,6 +152,8 @@ def cmd_plan(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
+    if args.sample is not None and args.sample < 1:
+        return _fail(f"--sample must be >= 1, got {args.sample}", 2)
     if args.plan:
         try:
             with open(args.plan) as fh:
@@ -172,31 +174,18 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        report = dec.check_all_subsets(plan, sample=args.sample, seed=seed)
+        cert = dec.certify(plan, roster, args.max_stragglers, args.sample, seed)
     except dec.SubsetGuardError as e:
-        return _fail(f"{e} (use --sample N)", 2)
-
-    # Full rank implies a perfect matching (see codedfl.decoding), so every
-    # enumerated subset is certified and only rank failures need an
-    # explicit augmenting-path search.
-    match_checked = report.subsets_checked
-    match_failures = [list(f) for f in report.failures
-                      if not dec.check_hall_condition(plan, f).perfect]
-
-    max_stragglers = args.max_stragglers
-    if max_stragglers is None:
-        max_stragglers = min(roster.n_clients, plan.s_bar + 1)
-    try:
-        patterns = dec.resilience_patterns(roster, plan, max_stragglers)
-    except dec.SubsetGuardError as e:
-        return _fail(f"{e} (lower --max-stragglers)", 2)
+        return _fail(str(e), 2)
+    report, patterns = cert.subsets, cert.patterns
+    n = report.subsets_checked
 
     doc = {
         "subsets": report.to_dict(),
-        "matching": {"checked": match_checked, "failures": match_failures,
-                     "all_perfect": not match_failures},
+        "matching": {"checked": n, "failures": cert.unmatched,
+                     "all_perfect": not cert.unmatched},
         "patterns": {
-            "max_stragglers": max_stragglers,
+            "max_stragglers": cert.max_stragglers,
             "entries": [
                 {"types": list(e.types), "sets": e.n_sets,
                  "tolerable": e.n_tolerable,
@@ -207,27 +196,23 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
             "lines": patterns.describe(),
         },
     }
-    path = out / "resilience.json"
-    with open(path, "w") as fh:
+    with open(out / "resilience.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
-    ok = report.ok and not match_failures
-    n = report.subsets_checked
     print(f"subsets: {n - len(report.failures)}/{n} full rank "
           f"({'exhaustive' if report.exhaustive else 'sampled'})")
-    print(f"matching: {match_checked - len(match_failures)}/{match_checked} "
-          "perfect")
+    print(f"matching: {n - len(cert.unmatched)}/{n} perfect")
     worst = "none" if report.worst_subset is None else list(report.worst_subset)
     print(f"condition numbers: min={report.min_cond:.3e} "
           f"max={report.max_cond:.3e} worst subset={worst}")
     for line in patterns.describe():
         print(f"pattern {line}")
-    if not ok:
+    if not cert.ok:
         for f in report.failures[:5]:
             print(f"rank failure at subset {list(f)}", file=sys.stderr)
-        for f in match_failures[:5]:
-            print(f"matching failure at subset {f}", file=sys.stderr)
+        for f in cert.unmatched[:5]:
+            print(f"matching failure at subset {list(f)}", file=sys.stderr)
         return 3
     return 0
 

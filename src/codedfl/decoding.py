@@ -8,8 +8,8 @@ A_q^T x.  A pivot on diag(U) below PIVOT_REL_TOL times the scale of G_S
 counts as zero and fails the decode.  The verification side is
 deliberately independent of that solver.  Subsets are ranked in chunks by
 one stacked SVD, which gives each subset's rank (with
-``np.linalg.matrix_rank``'s tolerance) and its condition number; the
-straggler-pattern survey ranks its surviving worker sets the same way.
+``np.linalg.matrix_rank``'s tolerance) and its condition number; straggler
+patterns that ``certify`` cannot count rank their survivors the same way.
 
 The matching certificate follows from rank.  If sigma_min of G_S clears the
 SVD tolerance, G_S is nonsingular (the computed singular values lie within
@@ -219,12 +219,15 @@ def check_all_subsets(plan: CodingPlan, sample: int | None = None,
     so the two can cross-check each other.  Subsets stream
     through in chunks of RANK_CHUNK, one stacked SVD each.
     """
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     G = plan.coefficient_matrix()
     n_bar, k_bar = G.shape
     total = math.comb(n_bar, k_bar)
     if sample is None and total > SUBSET_GUARD:
         raise SubsetGuardError(
-            f"{total} subsets exceed the exhaustive guard ({SUBSET_GUARD})")
+            f"{total} subsets exceed the exhaustive guard ({SUBSET_GUARD}); "
+            "use --sample N")
     subsets = iter_subsets(n_bar, k_bar, sample, seed)
     failures = []
     min_cond = max_cond = float("inf")
@@ -359,9 +362,23 @@ class PatternReport:
         return out
 
 
-def _contains(big: tuple, small: tuple) -> bool:
-    b, s = Counter(big), Counter(small)
-    return all(b[t] >= c for t, c in s.items())
+def _check_pattern_guard(n_clients: int, max_stragglers: int) -> None:
+    total = sum(math.comb(n_clients, size) for size in range(max_stragglers + 1))
+    if total > SUBSET_GUARD:
+        raise SubsetGuardError(
+            f"{total} straggler sets exceed the guard ({SUBSET_GUARD}); "
+            "lower --max-stragglers")
+
+
+def _pattern_report(plan: CodingPlan, buckets: dict) -> PatternReport:
+    """Report from {type multiset: (sets, tolerable sets, removed_virtual)}."""
+    entries = tuple(PatternEntry(k, n, t, rv)
+                    for k, (n, t, rv) in sorted(buckets.items(),
+                                                key=lambda kv: (len(kv[0]), kv[0])))
+    tolerable = [e.types for e in entries if e.all_tolerable and e.types]
+    maximal = tuple(t for t in tolerable if not any(
+        u != t and Counter(t) <= Counter(u) for u in tolerable))
+    return PatternReport(plan.k_bar, plan.s_bar, entries, maximal)
 
 
 def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
@@ -376,11 +393,7 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
     n_clients = roster.n_clients
     if max_stragglers is None:
         max_stragglers = n_clients
-    total = sum(math.comb(n_clients, size) for size in range(max_stragglers + 1))
-    if total > SUBSET_GUARD:
-        raise SubsetGuardError(
-            f"{total} straggler sets exceed the guard ({SUBSET_GUARD}); "
-            "lower max_stragglers")
+    _check_pattern_guard(n_clients, max_stragglers)
     G = plan.coefficient_matrix()
     owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
              for c in roster.clients}
@@ -401,10 +414,52 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
             rank, _ = _rank_and_cond(G, [rows for _, rows in group])
             for (key, _), r in zip(group, rank):
                 buckets[key][1] += int(r == plan.k_bar)
-    entries = tuple(PatternEntry(k, n, t, rv)
-                    for k, (n, t, rv) in sorted(buckets.items(),
-                                                key=lambda kv: (len(kv[0]), kv[0])))
-    tolerable = [e.types for e in entries if e.all_tolerable and e.types]
-    maximal = tuple(t for t in tolerable
-                    if not any(u != t and _contains(u, t) for u in tolerable))
-    return PatternReport(plan.k_bar, plan.s_bar, entries, maximal)
+    return _pattern_report(plan, buckets)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    subsets: ResilienceReport
+    unmatched: tuple[tuple[int, ...], ...]   # rank failures with no matching
+    patterns: PatternReport
+    max_stragglers: int
+
+    @property
+    def ok(self) -> bool:
+        return self.subsets.ok and not self.unmatched
+
+
+def certify(plan: CodingPlan, roster: ClientRoster,
+            max_stragglers: int | None = None, sample: int | None = None,
+            seed: int = 0) -> Certificate:
+    """Subset ranks, matchings and straggler patterns of one plan.
+
+    Only rank failures are matched: full rank implies a perfect matching.
+    max_stragglers defaults to min(n_clients, s_bar + 1).  After a clean
+    exhaustive subset report, every k_bar rows have full rank and adding
+    rows never lowers sigma_min, so a straggler set is tolerable when k_bar
+    workers survive it, and patterns are counted from the workers each type's
+    clients own in the specs.  A sampled or failing report, or one type's
+    clients owning different numbers of workers, takes the survey instead.
+    """
+    subsets = check_all_subsets(plan, sample=sample, seed=seed)
+    unmatched = tuple(f for f in subsets.failures
+                      if not check_hall_condition(plan, f).perfect)
+    if max_stragglers is None:
+        max_stragglers = min(roster.n_clients, plan.s_bar + 1)
+    owned = Counter(s.owner_client for s in plan.specs)
+    width = {c.type_index: owned[c.id] for c in roster.clients}
+    if not (subsets.exhaustive and subsets.ok) or any(
+            owned[c.id] != width[c.type_index] for c in roster.clients):
+        patterns = resilience_patterns(roster, plan, max_stragglers)
+        return Certificate(subsets, unmatched, patterns, max_stragglers)
+    _check_pattern_guard(roster.n_clients, max_stragglers)
+    types = Counter(c.type_index for c in roster.clients)
+    buckets = {}   # m_t clients of type t: prod C(N_t, m_t) sets
+    for size in range(min(max_stragglers, roster.n_clients) + 1):
+        for key in itertools.combinations_with_replacement(sorted(types), size):
+            if n := math.prod(math.comb(types[t], key.count(t)) for t in types):
+                lost = sum(width[t] for t in key)
+                buckets[key] = (n, n * (plan.n_bar - lost >= plan.k_bar), lost)
+    return Certificate(subsets, unmatched, _pattern_report(plan, buckets),
+                       max_stragglers)

@@ -455,3 +455,26 @@ def test_readme_minimal_round_runs():
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     assert "partition_uniform" in block and "dec.decode" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_verify_rejects_sample_below_one(tmp_path, capsys, sample):
+    # an empty sample certifies nothing, so it must not pass as a certificate
+    cfg = write_config(tmp_path, example_doc(tmp_path / "out",
+                                             schemes=["proposed"]))
+    assert cli.main(["verify", "--config", cfg, "--sample", sample]) == 2
+    assert "--sample" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "resilience.json").exists()
+
+
+@pytest.mark.parametrize("roster, flags, remedy", [
+    ({"active": [1] * 19, "passive": [1, 1]}, ["--max-stragglers", "21"],
+     r"max.stragglers"),
+    ({"active": [1] * 40, "passive": [1] * 6}, [], r"sample"),
+], ids=["straggler-sets", "subsets"])
+def test_verify_guard_names_its_remedy_once(tmp_path, capsys, roster, flags,
+                                            remedy):
+    cfg = write_config(tmp_path, {"roster": roster,
+                                  "out": str(tmp_path / "out")})
+    assert cli.main(["verify", "--config", cfg, *flags]) == 2
+    assert len(re.findall(remedy, capsys.readouterr().err)) == 1

@@ -1,7 +1,9 @@
 """Decoding, subset rank surveys, matching certificates, straggler patterns."""
 
 import itertools
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -460,3 +462,120 @@ def test_patterns_match_per_set_rank(setup):
     if setup is tampered_plan:
         # dropping worker 1 or 2 leaves the duplicate pair 0, 3
         assert not report.entry((0,)).all_tolerable
+
+
+# ---------------------------------------------------------------------------
+# certify: one call for every certificate
+
+SURVEY = dec.resilience_patterns   # the reference certify's counts must equal
+
+
+@pytest.fixture
+def survey_calls(monkeypatch):
+    """Records each pattern survey that certify runs."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return SURVEY(*args, **kwargs)
+
+    monkeypatch.setattr(dec, "resilience_patterns", recording)
+    return calls
+
+
+def random_roster_case(seed):
+    # multipliers 1-3, 2-6 actives, passives a strict sub-multiset of them;
+    # redrawn until the subset survey stays under 2000 subsets
+    g = rng(1000 + seed)
+    while True:
+        active = g.integers(1, 4, size=g.integers(2, 7)).tolist()
+        passive = g.choice(active, size=g.integers(0, len(active)),
+                           replace=False).tolist()
+        if math.comb(sum(active) + sum(passive), sum(active)) <= 2000:
+            break
+    n_clients = len(active) + len(passive)
+    return active, passive, "proposed", seed, int(g.integers(0, n_clients + 1))
+
+
+CERTIFY_CASES = (
+    [([1] * 28, [1] * 3, "proposed", s, m) for s in range(4) for m in (3, 4)]
+    + [([2, 2, 1, 1, 1], [1, 1], "proposed", s, 7) for s in range(8)]
+    + [([2, 2] + [1] * 8, [1, 1], "proposed", s, 12) for s in range(8)]
+    + [([3, 2, 2, 1, 1, 1], [2, 1], "proposed", s, 5) for s in range(8)]
+    + [([2, 2, 1, 1, 1], [1, 1], "proposed", 7, None)]
+    + [([2, 2, 1, 1, 1], [1, 1], scheme, 7, m)
+       for scheme in ("dense", "poly", "uncoded") for m in (None, 7)]
+    + [random_roster_case(s) for s in range(40)])
+
+
+def certify_case_id(case):
+    active, passive, scheme, seed, max_stragglers = case
+    roster = [".".join(f"{c}x{n}" for c, n in sorted(Counter(ms).items(),
+                                                    reverse=True)) or "0"
+              for ms in (active, passive)]
+    return f"{scheme}-{'+'.join(roster)}-seed{seed}-m{max_stragglers}"
+
+
+@pytest.mark.parametrize("active, passive, scheme, seed, max_stragglers",
+                         CERTIFY_CASES, ids=map(certify_case_id, CERTIFY_CASES))
+def test_certify_counts_what_the_survey_ranks(survey_calls, active, passive,
+                                              scheme, seed, max_stragglers):
+    roster = cd.make_roster(active, passive)
+    plan = cd.build_plan(scheme, roster, seed)
+    cert = dec.certify(plan, roster, max_stragglers)
+    if max_stragglers is None:
+        assert cert.max_stragglers == min(roster.n_clients, plan.s_bar + 1)
+    assert cert.ok and cert.subsets.exhaustive
+    assert cert.patterns == SURVEY(roster, plan, cert.max_stragglers)
+    # uncoded passives own no workers while actives of their type do
+    assert bool(survey_calls) == (scheme == "uncoded")
+
+
+def readme_plan():
+    roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
+    return cd.build_heterogeneous_plan(roster, seed=7), roster
+
+
+def moved_owner_plan():
+    """The README plan with worker 0 handed from client 0 to client 2."""
+    d = cd.plan_to_dict(*readme_plan())
+    d["workers"][0]["owner"] = 2
+    return cd.plan_from_dict(d)
+
+
+@pytest.mark.parametrize("setup, sample", [
+    (readme_plan, 25), (tampered_plan, None), (moved_owner_plan, None)],
+    ids=["sampled", "duplicate-row", "moved-owner"])
+def test_certify_surveys_what_it_cannot_count(survey_calls, setup, sample):
+    plan, roster = setup()
+    cert = dec.certify(plan, roster, sample=sample)
+    assert len(survey_calls) == 1
+    assert cert.patterns == SURVEY(roster, plan, cert.max_stragglers)
+    if setup is moved_owner_plan:
+        # a clean report, but the type-1 clients own 1 and 2 workers:
+        # counting by multiplier would call all ten weak pairs tolerable
+        assert cert.ok
+        e = cert.patterns.entry((0, 0))
+        assert (e.n_tolerable, e.n_sets) == (6, 10)
+
+
+def test_certify_matches_only_rank_failures():
+    # rows 1 and 8 take row 0's support, row 1 its coefficients too: four
+    # rows on three columns fail Hall's condition
+    d = cd.plan_to_dict(*readme_plan())
+    for w in (1, 8):
+        d["workers"][w]["support"] = d["workers"][0]["support"]
+    d["workers"][1]["coeffs"] = d["workers"][0]["coeffs"]
+    plan, roster = cd.plan_from_dict(d)
+    cert = dec.certify(plan, roster)
+    explicit = tuple(
+        s for s in itertools.combinations(range(plan.n_bar), plan.k_bar)
+        if not dec.check_hall_condition(plan, s).perfect)
+    assert explicit and cert.unmatched == explicit
+    assert not cert.ok
+
+
+def test_check_all_subsets_rejects_negative_sample():
+    with pytest.raises(ValueError, match="sample must be >= 0"):
+        dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),
+                              sample=-3)
