@@ -154,6 +154,9 @@ def cmd_plan(cfg: ExperimentConfig) -> int:
 def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     if args.sample is not None and args.sample < 1:
         return _fail(f"--sample must be >= 1, got {args.sample}", 2)
+    if args.max_stragglers is not None and args.max_stragglers < 0:
+        return _fail(f"--max-stragglers must be >= 0, got {args.max_stragglers}",
+                     2)
     if args.plan:
         try:
             with open(args.plan) as fh:

@@ -442,11 +442,13 @@ def certify(plan: CodingPlan, roster: ClientRoster,
     clients own in the specs.  A sampled or failing report, or one type's
     clients owning different numbers of workers, takes the survey instead.
     """
+    if max_stragglers is None:
+        max_stragglers = min(roster.n_clients, plan.s_bar + 1)
+    if max_stragglers < 0:
+        raise ValueError(f"max_stragglers must be >= 0, got {max_stragglers}")
     subsets = check_all_subsets(plan, sample=sample, seed=seed)
     unmatched = tuple(f for f in subsets.failures
                       if not check_hall_condition(plan, f).perfect)
-    if max_stragglers is None:
-        max_stragglers = min(roster.n_clients, plan.s_bar + 1)
     owned = Counter(s.owner_client for s in plan.specs)
     width = {c.type_index: owned[c.id] for c in roster.clients}
     if not (subsets.exhaustive and subsets.ok) or any(

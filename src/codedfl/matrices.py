@@ -200,13 +200,66 @@ def random_dense(rows: int, cols: int, rng: np.random.Generator) -> DenseMatrix:
     return DenseMatrix(rng.standard_normal((rows, cols)))
 
 
+def _distinct_sorted(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` distinct integers of range(n), sorted, uniform over subsets.
+
+    Draws with replacement, oversampled by about the expected number of
+    repeats (size**2 / n, plus 16 for small sizes), keeps the distinct
+    values, tops up in the rare case of a shortfall and drops a uniformly
+    chosen excess.  Every step treats all values alike, so the result is a
+    uniform size-subset.  Time and memory are O(size) while size <= n / 2;
+    beyond that repeats pile up like coupons, so callers sample the
+    complement instead.
+    """
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    extra = size * size // n + 16
+    cells = rng.integers(0, n, size + extra)
+    while True:
+        cells.sort()
+        fresh = np.empty(cells.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(cells[1:], cells[:-1], out=fresh[1:])
+        cells = cells[fresh]
+        if cells.size >= size:
+            break
+        cells = np.concatenate(
+            [cells, rng.integers(0, n, size - cells.size + extra)])
+    if cells.size > size:
+        keep = np.ones(cells.size, dtype=bool)
+        keep[rng.choice(cells.size, cells.size - size, replace=False,
+                        shuffle=False)] = False
+        cells = cells[keep]
+    return cells
+
+
 def random_sparse(rows: int, cols: int, density: float,
                   rng: np.random.Generator) -> SparseMatrix:
-    """Uniformly random sparse matrix with ~density*rows*cols nonzeros."""
+    """Random sparse matrix with standard normal nonzeros at uniform positions.
+
+    It holds exactly ``int(round(density * rows * cols))`` nonzeros, the
+    count ``scipy.sparse.random`` gives, and every set of cells of that size
+    is equally likely.  Time and memory are O(nnz): cells are drawn as flat
+    column-major indices (``_distinct_sorted``), and above density 1/2 the
+    zero cells are drawn and their complement taken.
+    """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    m = _sp.random(rows, cols, density=density, random_state=rng, format="csc",
-                   data_rvs=lambda n: rng.standard_normal(n))
+    n = rows * cols
+    size = int(round(density * n))
+    if 2 * size <= n:
+        flat = _distinct_sorted(n, size, rng)
+    else:
+        nonzero = np.ones(n, dtype=bool)
+        nonzero[_distinct_sorted(n, n - size, rng)] = False
+        flat = np.flatnonzero(nonzero)
+        del nonzero
+    idx = _sp.get_index_dtype(maxval=max(rows, cols, size))
+    indptr = np.searchsorted(flat, np.arange(cols + 1) * rows).astype(idx)
+    indices = np.remainder(flat, rows, out=flat).astype(idx)
+    del flat
+    m = _sp.csc_matrix((rng.standard_normal(size), indices, indptr),
+                       shape=(rows, cols))
     return SparseMatrix._wrap(_canonical(m))    # m is ours: no copy
 
 

@@ -150,7 +150,7 @@ def test_criterion_4_communication_cost():
 # dense combination saturates (76% of cells at d = 5%, not 28 x 5%).
 # K_BAR and S_BAR are the criterion's constants, not read from the plan, so
 # a plan whose weight drifted cannot raise its own bound.  The 0.5% slack
-# is more than 12x the largest relative deviation from the model (3.9e-4)
+# is more than 12x the largest relative deviation from the model (3.8e-4)
 # seen with plan and matrix seeds 1-5 at 95% and 99% sparsity; a weight-4
 # plan (0.243/0.180/0.161) or an encoder that leaves duplicate coordinates
 # unmerged (0.197/0.139/0.122) exceeds the bound at every level.

@@ -467,6 +467,15 @@ def test_verify_rejects_sample_below_one(tmp_path, capsys, sample):
     assert not (tmp_path / "out" / "resilience.json").exists()
 
 
+def test_verify_rejects_negative_max_stragglers(tmp_path, capsys):
+    # no straggler set has -1 clients: the pattern table would come out empty
+    cfg = write_config(tmp_path, example_doc(tmp_path / "out",
+                                             schemes=["proposed"]))
+    assert cli.main(["verify", "--config", cfg, "--max-stragglers", "-1"]) == 2
+    assert "--max-stragglers" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "resilience.json").exists()
+
+
 @pytest.mark.parametrize("roster, flags, remedy", [
     ({"active": [1] * 19, "passive": [1, 1]}, ["--max-stragglers", "21"],
      r"max.stragglers"),

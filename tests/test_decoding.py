@@ -579,3 +579,8 @@ def test_check_all_subsets_rejects_negative_sample():
     with pytest.raises(ValueError, match="sample must be >= 0"):
         dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),
                               sample=-3)
+
+
+def test_certify_rejects_negative_max_stragglers():
+    with pytest.raises(ValueError, match="max_stragglers must be >= 0"):
+        dec.certify(*readme_plan(), max_stragglers=-1)

@@ -1,9 +1,13 @@
-"""Block-column views and the shared matrix surface."""
+"""Block-column views, the shared matrix surface and random generation."""
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
+from scipy import stats
 
 from codedfl import coding as cd
 from codedfl import matrices as mx
@@ -146,6 +150,92 @@ def test_rejects_empty_and_bad_dims():
         mx.DenseMatrix(np.zeros((0, 4)))
     with pytest.raises(mx.ShapeError):
         mx.DenseMatrix(np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# random sparse generation
+
+@pytest.mark.parametrize("density", [0.0, 1e-6, 0.05, 0.5, 0.9, 1.0])
+def test_random_sparse_exact_count_canonical_and_quick(density):
+    # 0.9 and 1.0 draw the zero cells: with-replacement drawing of the
+    # nonzeros themselves would take coupon-collector time there
+    t0 = time.perf_counter()
+    S = mx.random_sparse(200, 3000, density, rng(30))
+    assert time.perf_counter() - t0 < 10.0
+    m = S.m
+    assert S.nnz() == int(round(density * 200 * 3000))
+    assert np.all(m.data != 0)
+    assert m.indptr[0] == 0 and m.indptr[-1] == S.nnz()
+    for j in range(S.cols):
+        col = m.indices[m.indptr[j]:m.indptr[j + 1]]
+        assert np.all(col[1:] > col[:-1])         # sorted, no duplicates
+    assert not any(a.flags.writeable for a in (m.data, m.indices, m.indptr))
+
+
+def test_random_sparse_same_seed_same_matrix():
+    a, b = (mx.random_sparse(300, 400, 0.05, rng(31)).m for _ in range(2))
+    for x, y in ((a.data, b.data), (a.indices, b.indices),
+                 (a.indptr, b.indptr)):
+        np.testing.assert_array_equal(x, y)
+    c = mx.random_sparse(300, 400, 0.05, rng(32)).m
+    assert not np.array_equal(a.indices, c.indices)
+
+
+@pytest.mark.parametrize("density", [0.3, 0.7])
+def test_random_sparse_positions_are_uniform(density):
+    # per-cell hit counts over many draws of a 4x5 matrix.  Each count is
+    # Binomial(T, p) and the counts sum to T*size, so the scaled statistic
+    # below is chi-square with n - 1 degrees of freedom.
+    rows, cols, T = 4, 5, 4000
+    n = rows * cols
+    g = rng(33)
+    hits = np.zeros((rows, cols))
+    for _ in range(T):
+        hits += mx.random_sparse(rows, cols, density, g).to_dense() != 0
+    p = round(density * n) / n
+    stat = ((hits - T * p) ** 2).sum() * (n - 1) / (n * T * p * (1 - p))
+    assert stats.chi2.sf(stat, n - 1) > 1e-3
+
+
+class _RepeatingFirstDraw:
+    """A generator whose first batch of cells is one cell over and over."""
+
+    def __init__(self, seed):
+        self.g, self.first = rng(seed), True
+
+    def integers(self, low, high, size):
+        if self.first:
+            self.first = False
+            return np.zeros(size, dtype=np.int64)
+        return self.g.integers(low, high, size)
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+
+def test_random_sparse_tops_up_a_shortfall():
+    S = mx.random_sparse(40, 30, 0.2, _RepeatingFirstDraw(34))
+    assert S.nnz() == 240
+    assert S.m.has_canonical_format and np.all(S.m.data != 0)
+
+
+def test_random_sparse_memory_is_o_nnz():
+    # scipy.sparse.random permutes all rows*cols cells: 13.9x the output
+    g = rng(35)
+    tracemalloc.start()
+    try:
+        S = mx.random_sparse(1000, 31500, 0.05, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (S.m.data, S.m.indices, S.m.indptr))
+    assert peak <= 4 * out
+
+
+def test_random_sparse_rejects_bad_density():
+    for density in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            mx.random_sparse(3, 3, density, rng())
 
 
 # ---------------------------------------------------------------------------
