@@ -290,10 +290,6 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     outputs += [out / "round.csv", out / "privacy.csv"]
 
     if cfg.bench is not None:
-        if cfg.matrix is None or cfg.matrix.source != "synthetic" \
-                or cfg.matrix.kind != "sparse":
-            raise ConfigError(
-                "bench: requires a synthetic sparse matrix section")
         bench_rows, time_rows = [], []
         for zf in cfg.bench.zero_fractions:
             Pz = _partition(cfg, k_bar, zero_fraction=zf)
@@ -326,6 +322,10 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
     n, late = cfg.roster.n_clients, fl.stragglers_per_round
     if late > n:
         raise ConfigError(f"fl.stragglers_per_round: must be <= {n}, got {late}")
+    k_bar = cd.expand_heterogeneous(cfg.roster)[0]
+    if fl.cols % k_bar != 0:
+        raise ConfigError(
+            f"fl.cols: {fl.cols} columns do not split into {k_bar} blocks")
     rng = np.random.default_rng([cfg.seed, _TAG_FL])
     D = mx.random_dense(fl.rows, fl.cols, rng)
     y = rng.standard_normal(fl.rows)
@@ -414,7 +414,7 @@ def _config_from_args(args) -> ExperimentConfig | None:
     if not args.config:
         return None
     overrides = {"seed": args.seed, "out": args.out, "scale": args.scale,
-                 "scheme": args.scheme}
+                 "schemes": [args.scheme] if args.scheme else None}
     return load_config(args.config, overrides)
 
 

@@ -105,7 +105,7 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_TOP_KEYS = {"seed", "scheme", "schemes", "roster", "matrix", "scale", "timing",
+_TOP_KEYS = {"seed", "schemes", "roster", "matrix", "scale", "timing",
              "comm", "trials", "bench", "fl", "out"}
 
 
@@ -145,8 +145,7 @@ def _parse_matrix(d) -> MatrixSpec:
 
 
 def _parse_timing(d, n_clients: int) -> TimingModel:
-    _check_keys(d, "timing", {"noise", "shift_by_type", "rate_by_type",
-                              "failed_clients", "failure_prob"})
+    _check_keys(d, "timing", {"noise", "failed_clients", "failure_prob"})
     noise = _as_num(d.get("noise", 1.0), "timing.noise", lo=0.0)
     failed = d.get("failed_clients", [])
     _expect(isinstance(failed, list), "timing.failed_clients", "expected a list")
@@ -155,25 +154,9 @@ def _parse_timing(d, n_clients: int) -> TimingModel:
                    for i, v in enumerate(failed))
     prob = _as_num(d.get("failure_prob", 0.0), "timing.failure_prob", lo=0.0)
     _expect(prob <= 1.0, "timing.failure_prob", f"must be <= 1, got {prob}")
-
-    def type_map(key):
-        m = d.get(key)
-        if m is None:
-            return None
-        _expect(isinstance(m, dict), f"timing.{key}", "expected an object")
-        out = {}
-        for k, v in m.items():
-            try:
-                t = int(k)
-            except ValueError:
-                raise ConfigError(f"timing.{key}: key {k!r} is not a type index")
-            out[t] = _as_num(v, f"timing.{key}[{k}]", lo=0.0)
-        return out
-
     try:
-        return TimingModel(noise=noise, shift_by_type=type_map("shift_by_type"),
-                           rate_by_type=type_map("rate_by_type"),
-                           failed_clients=failed, failure_prob=prob)
+        return TimingModel(noise=noise, failed_clients=failed,
+                           failure_prob=prob)
     except SimConfigError as e:
         raise ConfigError(f"timing: {e}") from e
 
@@ -220,26 +203,14 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a config document, after applying flag overrides."""
     _check_keys(doc, "config", _TOP_KEYS)
     doc = dict(doc)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "scheme":
-            doc["scheme"] = value
-            doc.pop("schemes", None)
-        else:
-            doc[key] = value
+    doc.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
     seed = _as_int(doc.get("seed", 0), "seed", lo=0)
-    if "schemes" in doc and "scheme" in doc:
-        raise ConfigError("config: give either scheme or schemes, not both")
-    if "schemes" in doc:
-        lst = doc["schemes"]
-        _expect(isinstance(lst, list) and lst, "schemes",
-                "expected a non-empty list")
-        schemes = tuple(_as_str(s, f"schemes[{i}]", SCHEMES)
-                        for i, s in enumerate(lst))
-    else:
-        schemes = (_as_str(doc.get("scheme", "proposed"), "scheme", SCHEMES),)
+    lst = doc.get("schemes", ["proposed"])
+    _expect(isinstance(lst, list) and lst, "schemes",
+            "expected a non-empty list")
+    schemes = tuple(_as_str(s, f"schemes[{i}]", SCHEMES)
+                    for i, s in enumerate(lst))
     _expect("roster" in doc, "roster", "required")
     roster = _parse_roster(doc["roster"])
     matrix = _parse_matrix(doc["matrix"]) if "matrix" in doc else None
@@ -248,6 +219,10 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     comm = _parse_comm(doc.get("comm", {}))
     trials = _as_int(doc.get("trials", 1), "trials", lo=0)
     bench = _parse_bench(doc["bench"]) if "bench" in doc else None
+    _expect(bench is None or (matrix is not None
+                              and matrix.source == "synthetic"
+                              and matrix.kind == "sparse"),
+            "bench", "requires a synthetic sparse matrix section")
     fl = _parse_fl(doc["fl"]) if "fl" in doc else None
     out = _as_str(doc.get("out", "."), "out")
     return ExperimentConfig(seed=seed, schemes=schemes, roster=roster,

@@ -50,8 +50,6 @@ class CommModel:
 @dataclass(frozen=True)
 class TimingModel:
     noise: float = 1.0               # exponential noise mean = noise * shift
-    shift_by_type: dict | None = None    # type_index -> per-task shift override
-    rate_by_type: dict | None = None     # type_index -> noise rate override
     failed_clients: tuple[int, ...] = ()
     failure_prob: float = 0.0
 
@@ -65,12 +63,7 @@ class TimingModel:
                   rng: np.random.Generator) -> float:
         """One virtual-worker task on the given client: shift plus noise."""
         shift = alpha / (client.multiplier * beta)
-        if self.shift_by_type and client.type_index in self.shift_by_type:
-            shift = float(self.shift_by_type[client.type_index])
-        if self.rate_by_type and client.type_index in self.rate_by_type:
-            mean = 1.0 / float(self.rate_by_type[client.type_index])
-        else:
-            mean = self.noise * shift
+        mean = self.noise * shift
         return shift + (rng.exponential(mean) if mean > 0 else 0.0)
 
 
@@ -293,12 +286,11 @@ def gradient_lipschitz_bound(D: np.ndarray) -> float:
     return 2.0 * float(np.linalg.norm(D, 2)) ** 2
 
 
-def plain_gd(D, y, steps: int, stepsize: float, beta0=None):
+def plain_gd(D, y, steps: int, stepsize: float):
     """Uncoded reference: exact gradient descent on ||D b - y||^2."""
     D = as_matrix(D).to_dense()
     y = np.asarray(y, dtype=np.float64).ravel()
-    beta = (np.zeros(D.shape[1]) if beta0 is None
-            else np.asarray(beta0, dtype=np.float64).copy())
+    beta = np.zeros(D.shape[1])
     betas = [beta.copy()]
     losses = []
     for _ in range(steps):
@@ -336,9 +328,6 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, stepsize: float | None = Non
     if y.shape[0] != D.rows:
         raise ValueError(f"y has length {y.shape[0]}, expected {D.rows}")
     plan = build_plan(scheme, roster, seed)
-    if D.cols % plan.k_bar != 0:
-        raise ValueError(
-            f"{D.cols} columns do not split into k_bar={plan.k_bar} blocks")
     wl = encode(partition_uniform(D, plan.k_bar), plan)
 
     dense = D.to_dense()

@@ -49,14 +49,15 @@ def test_unknown_section_key_rejected():
         parse_config(minimal_doc(timing={"nosie": 0.5}))
 
 
-def test_scheme_and_schemes_conflict():
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config(minimal_doc(scheme="dense", schemes=["proposed"]))
+def test_scheme_is_an_unknown_key():
+    # `schemes` is the one spelling; a one-element list selects one scheme
+    with pytest.raises(ConfigError, match=r"config\.scheme: unknown key"):
+        parse_config(minimal_doc(scheme="dense"))
 
 
 def test_bad_scheme_name():
     with pytest.raises(ConfigError, match="scheme"):
-        parse_config(minimal_doc(scheme="fountain"))
+        parse_config(minimal_doc(schemes=["fountain"]))
 
 
 def test_roster_required():
@@ -73,9 +74,8 @@ def test_roster_errors_become_config_errors():
 
 def test_overrides_take_precedence():
     doc = minimal_doc(seed=1, schemes=["proposed", "dense"], out="a")
-    cfg = parse_config(doc, {"seed": 9, "scheme": "uncoded", "out": None})
+    cfg = parse_config(doc, {"seed": 9, "schemes": ["uncoded"], "out": None})
     assert cfg.seed == 9
-    # a single-scheme override replaces the whole scheme list
     assert cfg.schemes == ("uncoded",)
     # None overrides are ignored, the config value stands
     assert cfg.out == "a"
@@ -98,13 +98,14 @@ def test_value_range_errors():
         parse_config(minimal_doc(timing={"failure_prob": 1.5}))
 
 
-def test_timing_type_maps():
-    cfg = parse_config(minimal_doc(timing={"shift_by_type": {"0": 2.0},
-                                           "rate_by_type": {"0": 4.0}}))
-    assert cfg.timing.shift_by_type == {0: 2.0}
-    assert cfg.timing.rate_by_type == {0: 4.0}
-    with pytest.raises(ConfigError, match="type index"):
-        parse_config(minimal_doc(timing={"shift_by_type": {"slow": 2.0}}))
+@pytest.mark.parametrize("key, value", [
+    ("shift_by_type", {"0": 2.0}),
+    ("rate_by_type", {"0": 0}),
+], ids=["shift_by_type", "rate_by_type"])
+def test_per_type_timing_keys_are_unknown(key, value):
+    # a task's time follows from its client's multiplier alone
+    with pytest.raises(ConfigError, match=rf"timing\.{key}: unknown key"):
+        parse_config(minimal_doc(timing={key: value}))
 
 
 def test_matrix_file_source_needs_path():
@@ -348,11 +349,33 @@ def test_simulate_rejects_cols_not_divisible(tmp_path, capsys):
     assert "matrix.cols: 20 columns" in capsys.readouterr().err
 
 
-def test_bench_requires_sparse_matrix(tmp_path):
+def test_bench_requires_sparse_matrix(tmp_path, capsys):
+    # rejected while the config is read, before any round runs
     doc = example_doc(tmp_path / "out",
                       bench={"zero_fractions": [0.5]})
     cfg = write_config(tmp_path, doc)
     assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "bench: requires a synthetic sparse matrix" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "round.csv").exists()
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("config.scheme", {"scheme": "dense"}),
+    ("timing.shift_by_type", {"timing": {"shift_by_type": {"0": 2.0}}}),
+    ("timing.rate_by_type", {"timing": {"rate_by_type": {"0": 0}}}),
+], ids=["scheme", "shift_by_type", "rate_by_type"])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_removed_keys_exit_2(tmp_path, capsys, command, key, extra):
+    cfg = write_config(tmp_path, example_doc(tmp_path / "out", **extra))
+    assert cli.main([command, "--config", cfg]) == 2
+    assert f"{key}: unknown key" in capsys.readouterr().err
+
+
+def test_scheme_flag_selects_one_scheme(tmp_path):
+    cfg = write_config(tmp_path, example_doc(tmp_path / "out"))
+    args = cli.build_parser().parse_args(
+        ["plan", "--config", cfg, "--scheme", "uncoded"])
+    assert cli._config_from_args(args).schemes == ("uncoded",)
 
 
 def test_cli_scale_divides_rows(tmp_path):
@@ -375,7 +398,7 @@ def test_missing_config_is_exit_2(tmp_path):
 def test_fl_demo_writes_trajectory(tmp_path):
     doc = {
         "seed": 3,
-        "scheme": "proposed",
+        "schemes": ["proposed"],
         "roster": {"active": [1] * 7, "passive": [1, 1]},
         "fl": {"rows": 28, "cols": 7, "steps": 20, "stragglers_per_round": 2},
         "out": str(tmp_path / "fl"),
@@ -388,6 +411,19 @@ def test_fl_demo_writes_trajectory(tmp_path):
     assert len(rows[1]) == 2 + 7
     losses = [float(r[1]) for r in rows[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+@pytest.mark.parametrize("doc", [
+    # the README roster (k_bar 7) with 20 columns
+    {"roster": {"active": [2, 2, 1, 1, 1], "passive": [1, 1]},
+     "fl": {"rows": 60, "cols": 20}},
+    {"roster": {"active": [1, 1, 1, 1]}},   # no fl section: the default 21
+], ids=["fl-section", "default"])
+def test_fl_demo_cols_not_divisible_is_config_error(tmp_path, capsys, doc):
+    doc = dict(doc, out=str(tmp_path / "fl"))
+    assert cli.main(["fl-demo", "--config", write_config(tmp_path, doc)]) == 2
+    assert "fl.cols" in capsys.readouterr().err
+    assert not (tmp_path / "fl" / "trajectory.csv").exists()
 
 
 def test_fl_demo_bad_stepsize_is_config_error(tmp_path):
@@ -406,7 +442,7 @@ def test_poly_decodes_at_k28(tmp_path):
     # the polynomial baseline at the paper's k_bar: every 28 of 30 rows
     # decode, and the worst subset stays well conditioned
     out = tmp_path / "out"
-    doc = {"seed": 4, "scheme": "poly",
+    doc = {"seed": 4, "schemes": ["poly"],
            "roster": {"active": [1] * 28, "passive": [1, 1]},
            "trials": 5, "fl": {"rows": 40, "cols": 28, "steps": 20},
            "out": str(out)}

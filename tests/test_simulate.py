@@ -170,14 +170,14 @@ def test_simulate_with_real_workload():
     assert rep.total_bytes_d2d == pytest.approx(9 * 3 * 8 * len(plan.transfers))
 
 
-def test_timing_overrides_per_type():
+def test_task_times_follow_the_roster():
+    # shift = alpha/(c*beta): 2 for the c=2 client, 4 for the c=1 active
+    # and passive clients; the c=2 client's tasks run one after another
     roster = cd.make_roster([2, 1], [1], base_width=4)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    timing = sim.TimingModel(noise=0, shift_by_type={0: 0.25, 1: 0.25})
-    rep = sim.simulate_round(plan, roster, timing,
+    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=0),
                              sim.CommModel(per_byte_cost=0.0), rng(14))
-    assert rep.compute_finish[2] == pytest.approx(0.25)   # weak active client
-    assert rep.compute_finish[1] == pytest.approx(0.5)    # second task of strong
+    assert rep.compute_finish == pytest.approx({0: 2.0, 1: 4.0, 2: 4.0, 3: 4.0})
 
 
 # ---------------------------------------------------------------------------
