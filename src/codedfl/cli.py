@@ -1,7 +1,8 @@
 """Command-line entry point: plan, verify, simulate, fl-demo.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure,
-4 decode failure where success was required.  All CSV output is written
+Exit codes: 0 success, 1 diverging descent, 2 configuration error (a bad
+config or stored plan; nothing is written), 3 verification failure, 4
+decode failure where success was required.  All CSV output is written
 with repr-formatted numbers and no timestamps, so a rerun with the same
 config and seed reproduces the files byte for byte; the one exception is
 benchmark_times.csv, which holds measured wall-clock medians and is
@@ -25,13 +26,13 @@ from . import coding as cd
 from . import decoding as dec
 from . import matrices as mx
 from . import simulate as sim
-from .config import ConfigError, ExperimentConfig, FlSpec, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 
 # rng stream tags so draw order never depends on run structure
 _TAG_MATRIX, _TAG_X, _TAG_TRIAL, _TAG_FL = 1, 2, 3, 4
 
 _CONFIG_ERRORS = (ConfigError, cd.RosterError, cd.PlanError, sim.SimConfigError,
-                  sim.StepsizeError, mx.PartitionError, mx.ShapeError)
+                  mx.PartitionError, mx.ShapeError)
 
 
 def _fail(msg: str, code: int) -> int:
@@ -74,8 +75,9 @@ def _write_manifest(out_dir: Path, cfg_hash: str, seed: int, outputs) -> None:
         fh.write("\n")
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    d = Path(cfg.out)
+def _out_dir(path) -> Path:
+    # called just before a command's first write: a rejected run leaves none
+    d = Path(path)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -83,8 +85,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
     """Materialize the configured matrix, rows divided by the scale factor."""
     spec = cfg.matrix
-    if spec is None:
-        raise ConfigError("matrix: section required for this command")
     if spec.source == "file":
         try:
             return mx.load_matrix(spec.path)
@@ -96,19 +96,6 @@ def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
         zf = spec.zero_fraction if zero_fraction is None else zero_fraction
         return mx.random_sparse(rows, spec.cols, 1.0 - zf, rng)
     return mx.random_dense(rows, spec.cols, rng)
-
-
-def _partition(cfg: ExperimentConfig, k_bar: int, zero_fraction=None):
-    """The configured matrix viewed as k_bar block-columns.
-
-    The partition holds the matrix itself, so the matrix lives exactly as
-    long as the caller keeps the partition.
-    """
-    M = _make_matrix(cfg, zero_fraction)
-    if M.cols % k_bar != 0:
-        raise ConfigError(
-            f"matrix.cols: {M.cols} columns do not split into {k_bar} blocks")
-    return mx.partition_uniform(M, k_bar)
 
 
 def _allocation_lines(plan: cd.CodingPlan, roster: cd.ClientRoster) -> list:
@@ -134,10 +121,10 @@ def _allocation_lines(plan: cd.CodingPlan, roster: cd.ClientRoster) -> list:
 # subcommands
 
 def cmd_plan(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
+    plans = [cd.build_plan(s, cfg.roster, cfg.seed) for s in cfg.schemes]
+    out = _out_dir(cfg.out)
     outputs = []
-    for scheme in cfg.schemes:
-        plan = cd.build_plan(scheme, cfg.roster, cfg.seed)
+    for scheme, plan in zip(cfg.schemes, plans):
         plan_path = out / f"plan_{scheme}.json"
         with open(plan_path, "w") as fh:
             json.dump(cd.plan_to_dict(plan, cfg.roster), fh, indent=2)
@@ -166,15 +153,14 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
         except json.JSONDecodeError as e:
             return _fail(f"plan file is not valid JSON: {e}", 2)
         seed = args.seed if args.seed is not None else 0
-        out = Path(args.out or ".")
+        out = args.out or "."
     elif cfg is not None:
         plan = cd.build_plan(cfg.schemes[0], cfg.roster, cfg.seed)
         roster = cfg.roster
         seed = cfg.seed
-        out = _out_dir(cfg)
+        out = cfg.out
     else:
         return _fail("verify needs --plan or --config", 2)
-    out.mkdir(parents=True, exist_ok=True)
 
     try:
         cert = dec.certify(plan, roster, args.max_stragglers, args.sample, seed)
@@ -199,7 +185,7 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
             "lines": patterns.describe(),
         },
     }
-    with open(out / "resilience.json", "w") as fh:
+    with open(_out_dir(out) / "resilience.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -250,7 +236,6 @@ BENCH_TIMES_HEADER = ["scheme", "zero_fraction", "mean_time_s", "max_time_s"]
 
 
 def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
-    out = _out_dir(cfg)
     outputs = []
 
     plans = {s: cd.build_plan(s, cfg.roster, cfg.seed) for s in cfg.schemes}
@@ -260,7 +245,9 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     workload_by_scheme = {}
     x = None
     if cfg.matrix is not None:
-        P = _partition(cfg, k_bar)
+        # the partition holds the matrix itself, so the matrix lives
+        # exactly as long as P does
+        P = mx.partition_uniform(_make_matrix(cfg), k_bar)
         x = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(P.rows)
         for s, plan in plans.items():
             workload_by_scheme[s] = cd.encode(P, plan)
@@ -285,6 +272,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     # the dense scheme's blocks alone take 95 MB)
     del workload_by_scheme
 
+    out = _out_dir(cfg.out)
     _write_csv(out / "round.csv", ROUND_HEADER, round_rows)
     _write_csv(out / "privacy.csv", PRIVACY_HEADER, privacy_rows)
     outputs += [out / "round.csv", out / "privacy.csv"]
@@ -292,7 +280,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     if cfg.bench is not None:
         bench_rows, time_rows = [], []
         for zf in cfg.bench.zero_fractions:
-            Pz = _partition(cfg, k_bar, zero_fraction=zf)
+            Pz = mx.partition_uniform(_make_matrix(cfg, zf), k_bar)
             xz = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(Pz.rows)
             table = sim.sparse_compute_benchmark(
                 Pz, [plans[s] for s in cfg.schemes], xz, zero_fraction=zf,
@@ -317,21 +305,14 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
 
 
 def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
-    out = _out_dir(cfg)
-    fl = cfg.fl if cfg.fl is not None else FlSpec()
-    n, late = cfg.roster.n_clients, fl.stragglers_per_round
-    if late > n:
-        raise ConfigError(f"fl.stragglers_per_round: must be <= {n}, got {late}")
-    k_bar = cd.expand_heterogeneous(cfg.roster)[0]
-    if fl.cols % k_bar != 0:
-        raise ConfigError(
-            f"fl.cols: {fl.cols} columns do not split into {k_bar} blocks")
+    fl = cfg.fl
+    if fl is None:
+        raise ConfigError("fl: section required for fl-demo")
     rng = np.random.default_rng([cfg.seed, _TAG_FL])
     D = mx.random_dense(fl.rows, fl.cols, rng)
     y = rng.standard_normal(fl.rows)
     try:
-        res = sim.fl_demo(D, y, cfg.roster, fl.steps, fl.stepsize,
-                          seed=cfg.seed,
+        res = sim.fl_demo(D, y, cfg.roster, fl.steps, seed=cfg.seed,
                           stragglers_per_round=fl.stragglers_per_round,
                           scheme=cfg.schemes[0], timing=cfg.timing)
     except dec.DecodeError as e:
@@ -347,6 +328,7 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
     header = ["step", "loss"] + [f"beta_{j}" for j in range(fl.cols)]
     rows = [[t, res.losses[t]] + list(res.betas[t])
             for t in range(len(res.losses))]
+    out = _out_dir(cfg.out)
     _write_csv(out / "trajectory.csv", header, rows)
     _write_manifest(out, cfg.config_hash(), cfg.seed, [out / "trajectory.csv"])
     print(f"steps={fl.steps} final_loss={_fmt(res.losses[-1])} "

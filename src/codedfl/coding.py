@@ -374,17 +374,21 @@ def roster_to_dict(roster: ClientRoster) -> dict:
 
 
 def roster_from_dict(d: dict) -> ClientRoster:
+    """Rebuild a stored roster through make_roster, which must give it back."""
     try:
         clients = tuple(
             Client(int(c["id"]), str(c["role"]), int(c["type_index"]),
                    int(c["multiplier"]))
             for c in d["clients"])
-        roster = ClientRoster(clients, int(d["base_width"]), float(d["base_speed"]))
+        roster = make_roster(
+            [c.multiplier for c in clients if c.role == "active"],
+            [c.multiplier for c in clients if c.role == "passive"],
+            int(d["base_width"]), float(d["base_speed"]))
     except (KeyError, TypeError, ValueError) as e:
         raise PlanError(f"malformed roster: {e}") from e
-    for c in roster.clients:
-        if c.role not in ("active", "passive"):
-            raise PlanError(f"client {c.id} has unknown role {c.role!r}")
+    if roster.clients != clients:
+        raise PlanError("stored clients differ from the roster their "
+                        "multipliers define (ids, roles, types or order)")
     return roster
 
 
@@ -414,10 +418,15 @@ def plan_from_dict(d: dict):
     Validation is structural only (shapes, index ranges); rank properties
     are the verifier's job, so a tampered-but-well-formed plan loads fine.
     """
+    if not isinstance(d, dict):
+        raise PlanError("malformed plan: top level must be an object")
     if d.get("format") != PLAN_FORMAT:
         raise PlanError(f"unrecognized plan format {d.get('format')!r}")
+    if "roster" not in d:
+        raise PlanError("malformed plan: no roster")
     roster = roster_from_dict(d["roster"])
     try:
+        scheme = str(d["scheme"])
         k_bar, s_bar = int(d["k_bar"]), int(d["s_bar"])
         specs = tuple(
             CodedBlockSpec(int(w["worker"]), int(w["owner"]),
@@ -430,7 +439,6 @@ def plan_from_dict(d: dict):
             for t in d["transfers"])
     except (KeyError, TypeError, ValueError) as e:
         raise PlanError(f"malformed plan: {e}") from e
-    scheme = str(d["scheme"])
     if len(specs) != k_bar + s_bar:
         raise PlanError(f"{len(specs)} worker specs, expected {k_bar + s_bar}")
     n_clients = roster.n_clients

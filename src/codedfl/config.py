@@ -2,9 +2,11 @@
 
 Every run is described by a config dict (usually a file) plus optional
 flag overrides; the canonical post-override dict is hashed into the run
-manifest so reruns are attributable.  Validation is strict and named: an
-unknown key, wrong type, or out-of-range value raises ConfigError with
-the offending path rather than failing somewhere mid-run.
+manifest so reruns are attributable.  ``parse_config`` alone decides
+whether a config is valid, for every command: an unknown or unused key,
+a wrong type, an out-of-range value, or a size that does not fit the
+roster raises ConfigError with the offending path before any matrix is
+drawn or any file is written.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ class FlSpec:
     rows: int = 60
     cols: int = 21
     steps: int = 100
-    stepsize: float | None = None
     stragglers_per_round: int = 2
 
 
@@ -127,18 +128,33 @@ def _parse_roster(d) -> ClientRoster:
         raise ConfigError(f"roster: {e}") from e
 
 
-def _parse_matrix(d) -> MatrixSpec:
-    _check_keys(d, "matrix",
-                {"source", "rows", "cols", "kind", "zero_fraction", "path"})
+# the matrix keys a file source and each synthetic kind read
+_MATRIX_KEYS = {"file": {"source", "path"},
+                "dense": {"source", "rows", "cols", "kind"},
+                "sparse": {"source", "rows", "cols", "kind", "zero_fraction"}}
+
+
+def _expect_split(cols, k_bar, path):
+    _expect(cols % k_bar == 0, path,
+            f"{cols} columns do not split into {k_bar} blocks")
+
+
+def _parse_matrix(d, k_bar: int) -> MatrixSpec:
+    _check_keys(d, "matrix", set().union(*_MATRIX_KEYS.values()))
     source = _as_str(d.get("source", "synthetic"), "matrix.source",
                      ("synthetic", "file"))
+    kind = "file" if source == "file" else _as_str(
+        d.get("kind", "dense"), "matrix.kind", ("dense", "sparse"))
+    for k in d:
+        _expect(k in _MATRIX_KEYS[kind], f"matrix.{k}",
+                f"not used by a {kind} matrix")
     if source == "file":
         path = _as_str(d.get("path", ""), "matrix.path")
         _expect(bool(path), "matrix.path", "required for source=file")
         return MatrixSpec(source="file", path=path)
     rows = _as_int(d.get("rows", 0), "matrix.rows", lo=1)
     cols = _as_int(d.get("cols", 0), "matrix.cols", lo=1)
-    kind = _as_str(d.get("kind", "dense"), "matrix.kind", ("dense", "sparse"))
+    _expect_split(cols, k_bar, "matrix.cols")
     zf = _as_num(d.get("zero_fraction", 0.0), "matrix.zero_fraction", lo=0.0)
     _expect(zf < 1.0, "matrix.zero_fraction", f"must be < 1, got {zf}")
     return MatrixSpec("synthetic", rows, cols, kind, zf)
@@ -185,18 +201,16 @@ def _parse_bench(d) -> BenchSpec:
                      _as_int(d.get("warmup", 2), "bench.warmup", lo=0))
 
 
-def _parse_fl(d) -> FlSpec:
-    _check_keys(d, "fl", {"rows", "cols", "steps", "stepsize",
-                          "stragglers_per_round"})
-    step = d.get("stepsize")
-    if step is not None:
-        step = _as_num(step, "fl.stepsize", lo=0.0)
+def _parse_fl(d, k_bar: int, n_clients: int) -> FlSpec:
+    _check_keys(d, "fl", {"rows", "cols", "steps", "stragglers_per_round"})
+    cols = _as_int(d.get("cols", 21), "fl.cols", lo=1)
+    _expect_split(cols, k_bar, "fl.cols")
     return FlSpec(rows=_as_int(d.get("rows", 60), "fl.rows", lo=1),
-                  cols=_as_int(d.get("cols", 21), "fl.cols", lo=1),
+                  cols=cols,
                   steps=_as_int(d.get("steps", 100), "fl.steps", lo=0),
-                  stepsize=step,
                   stragglers_per_round=_as_int(d.get("stragglers_per_round", 2),
-                                               "fl.stragglers_per_round", lo=0))
+                                               "fl.stragglers_per_round", lo=0,
+                                               hi=n_clients))
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -213,7 +227,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
                     for i, s in enumerate(lst))
     _expect("roster" in doc, "roster", "required")
     roster = _parse_roster(doc["roster"])
-    matrix = _parse_matrix(doc["matrix"]) if "matrix" in doc else None
+    k_bar = sum(c.multiplier for c in roster.actives())
+    matrix = _parse_matrix(doc["matrix"], k_bar) if "matrix" in doc else None
     scale = _as_int(doc.get("scale", 10), "scale", lo=1)
     timing = _parse_timing(doc.get("timing", {}), roster.n_clients)
     comm = _parse_comm(doc.get("comm", {}))
@@ -223,7 +238,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
                               and matrix.source == "synthetic"
                               and matrix.kind == "sparse"),
             "bench", "requires a synthetic sparse matrix section")
-    fl = _parse_fl(doc["fl"]) if "fl" in doc else None
+    fl = (_parse_fl(doc["fl"], k_bar, roster.n_clients) if "fl" in doc
+          else None)
     out = _as_str(doc.get("out", "."), "out")
     return ExperimentConfig(seed=seed, schemes=schemes, roster=roster,
                             matrix=matrix, scale=scale, timing=timing,

@@ -92,7 +92,7 @@ def test_value_range_errors():
     with pytest.raises(ConfigError, match="scale"):
         parse_config(minimal_doc(scale=0))
     with pytest.raises(ConfigError, match="zero_fraction"):
-        parse_config(minimal_doc(matrix={"rows": 4, "cols": 4,
+        parse_config(minimal_doc(matrix={"rows": 4, "cols": 3, "kind": "sparse",
                                          "zero_fraction": 1.0}))
     with pytest.raises(ConfigError, match="failure_prob"):
         parse_config(minimal_doc(timing={"failure_prob": 1.5}))
@@ -113,13 +113,30 @@ def test_matrix_file_source_needs_path():
         parse_config(minimal_doc(matrix={"source": "file"}))
 
 
+@pytest.mark.parametrize("matrix, key", [
+    ({"source": "file", "path": "A.csv", "kind": "sparse"}, "kind"),
+    ({"source": "file", "path": "A.csv", "cols": 21}, "cols"),
+    ({"source": "file", "path": "A.csv", "rows": 4}, "rows"),
+    ({"source": "file", "path": "A.csv", "zero_fraction": 0.9},
+     "zero_fraction"),
+    ({"rows": 4, "cols": 3, "kind": "dense", "zero_fraction": 0.9},
+     "zero_fraction"),
+    ({"rows": 4, "cols": 3, "zero_fraction": 0.9}, "zero_fraction"),
+    ({"rows": 4, "cols": 3, "path": "A.csv"}, "path"),
+], ids=["file-kind", "file-cols", "file-rows", "file-zero_fraction",
+        "dense-zero_fraction", "default-kind-zero_fraction", "synthetic-path"])
+def test_matrix_keys_the_source_ignores_are_rejected(matrix, key):
+    # a key that would be silently ignored is named instead
+    with pytest.raises(ConfigError, match=rf"matrix\.{key}: not used by a"):
+        parse_config(minimal_doc(matrix=matrix))
+
+
 def test_fl_section_and_stepsize():
-    cfg = parse_config(minimal_doc(fl={"rows": 30, "steps": 10,
-                                       "stepsize": 0.001}))
+    # the step is derived as 0.5/L, so there is no step size to configure
+    cfg = parse_config(minimal_doc(fl={"rows": 30, "steps": 10}))
     assert cfg.fl.rows == 30 and cfg.fl.steps == 10
-    assert cfg.fl.stepsize == 0.001
-    with pytest.raises(ConfigError, match="stepsize"):
-        parse_config(minimal_doc(fl={"stepsize": -0.1}))
+    with pytest.raises(ConfigError, match=r"fl\.stepsize: unknown key"):
+        parse_config(minimal_doc(fl={"stepsize": 0.001}))
 
 
 def test_config_hash_tracks_content_not_key_order(tmp_path):
@@ -413,17 +430,19 @@ def test_fl_demo_writes_trajectory(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("doc, msg", [
     # the README roster (k_bar 7) with 20 columns
-    {"roster": {"active": [2, 2, 1, 1, 1], "passive": [1, 1]},
-     "fl": {"rows": 60, "cols": 20}},
-    {"roster": {"active": [1, 1, 1, 1]}},   # no fl section: the default 21
+    ({"roster": {"active": [2, 2, 1, 1, 1], "passive": [1, 1]},
+      "fl": {"rows": 60, "cols": 20}},
+     "fl.cols: 20 columns do not split into 7 blocks"),
+    # no fl section: fl-demo has nothing to run
+    ({"roster": {"active": [1, 1, 1, 1]}}, "fl: section required"),
 ], ids=["fl-section", "default"])
-def test_fl_demo_cols_not_divisible_is_config_error(tmp_path, capsys, doc):
+def test_fl_demo_cols_not_divisible_is_config_error(tmp_path, capsys, doc, msg):
     doc = dict(doc, out=str(tmp_path / "fl"))
     assert cli.main(["fl-demo", "--config", write_config(tmp_path, doc)]) == 2
-    assert "fl.cols" in capsys.readouterr().err
-    assert not (tmp_path / "fl" / "trajectory.csv").exists()
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "fl").exists()
 
 
 def test_fl_demo_bad_stepsize_is_config_error(tmp_path):
@@ -455,14 +474,87 @@ def test_poly_decodes_at_k28(tmp_path):
     assert cli.main(["fl-demo", "--config", cfg, "--check"]) == 0
 
 
-@pytest.mark.parametrize("doc", [
-    minimal_doc(fl={"rows": 12, "cols": 3, "stragglers_per_round": 4}),
-    {"roster": {"active": [3]}},   # no fl section: the default of 2
+@pytest.mark.parametrize("doc, msg", [
+    (minimal_doc(fl={"rows": 12, "cols": 3, "stragglers_per_round": 4}),
+     "fl.stragglers_per_round: must be <= 3, got 4"),
+    # no fl section: fl-demo has nothing to run
+    ({"roster": {"active": [3]}}, "fl: section required"),
 ], ids=["fl-section", "default"])
-def test_stragglers_beyond_roster_is_config_error(tmp_path, capsys, doc):
+def test_stragglers_beyond_roster_is_config_error(tmp_path, capsys, doc, msg):
     doc = dict(doc, out=str(tmp_path / "fl"))
     assert cli.main(["fl-demo", "--config", write_config(tmp_path, doc)]) == 2
-    assert "fl.stragglers_per_round" in capsys.readouterr().err
+    assert msg in capsys.readouterr().err
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a rejected config drew a matrix")
+
+
+@pytest.mark.parametrize("doc, msg", [
+    # 31501 columns on k_bar 4: rejected before 6 million cells are drawn
+    ({"roster": {"active": [1, 1, 1, 1]},
+      "matrix": {"rows": 4000, "cols": 31501, "kind": "sparse",
+                 "zero_fraction": 0.95}},
+     "matrix.cols: 31501 columns do not split into 4 blocks"),
+    ({"roster": {"active": [2, 2, 1, 1, 1], "passive": [1, 1]},
+      "fl": {"cols": 20}},
+     "fl.cols: 20 columns do not split into 7 blocks"),
+    ({"roster": {"active": [1, 1, 1]}, "fl": {"stragglers_per_round": 4}},
+     "fl.stragglers_per_round: must be <= 3, got 4"),
+    ({"roster": {"active": [1, 1, 1]}, "fl": {"stepsize": 0.01}},
+     "fl.stepsize: unknown key"),
+], ids=["matrix-cols", "fl-cols", "stragglers", "stepsize"])
+@pytest.mark.parametrize("command", ["plan", "simulate", "fl-demo"])
+def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                            command, doc, msg):
+    monkeypatch.setattr(mx, "random_sparse", _no_draw)
+    monkeypatch.setattr(mx, "random_dense", _no_draw)
+    cfg = write_config(tmp_path, dict(doc, out=str(tmp_path / "out")))
+    assert cli.main([command, "--config", cfg]) == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_matrix_cols_not_divisible_is_exit_2(tmp_path, capsys):
+    # a file's width is known only once it is read; the partition rejects it
+    mpath = tmp_path / "A.csv"
+    mx.save_dense_csv(mx.random_dense(12, 6, np.random.default_rng(0)), mpath)
+    doc = example_doc(tmp_path / "out", schemes=["proposed"],
+                      matrix={"source": "file", "path": str(mpath)})
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    assert "6 columns cannot be split into 7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+# each edit returns the stored plan as it is written back; list.reverse
+# and dict.update return None, so `or d` hands back the edited plan
+@pytest.mark.parametrize("edit, msg", [
+    (_without("scheme"), "malformed plan: 'scheme'"),
+    (_without("roster"), "malformed plan: no roster"),
+    (lambda d: [d], "top level must be an object"),
+    (lambda d: d["roster"]["clients"][1].update(multiplier=0, type_index=5)
+     or d, "multipliers must be positive"),
+    (lambda d: d["roster"]["clients"].reverse() or d,
+     "stored clients differ"),
+], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
+        "reordered-clients"])
+def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
+    # exit 1 is a diverging descent; a bad plan file is a config error
+    cfg = write_config(tmp_path, example_doc(tmp_path / "out",
+                                             schemes=["proposed"]))
+    assert cli.main(["plan", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "out" / "plan_proposed.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert cli.main(["verify", "--plan", str(bad),
+                     "--out", str(tmp_path / "v")]) == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_failed_client_without_client_is_config_error(tmp_path, capsys):
