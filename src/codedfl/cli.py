@@ -152,8 +152,11 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
             return _fail(f"cannot read plan: {e}", 2)
         except json.JSONDecodeError as e:
             return _fail(f"plan file is not valid JSON: {e}", 2)
-        seed = args.seed if args.seed is not None else 0
-        out = args.out or "."
+        if cfg is not None:     # cfg already applies --seed and --out
+            seed, out = cfg.seed, cfg.out
+        else:
+            seed = args.seed if args.seed is not None else 0
+            out = args.out or "."
     elif cfg is not None:
         plan = cd.build_plan(cfg.schemes[0], cfg.roster, cfg.seed)
         roster = cfg.roster
@@ -207,12 +210,15 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
 
 
 def _simulate_rounds(cfg, plan, workload, x):
+    # every trial shares x, so each product is computed once for all of
+    # them; the memo holds the workload and must die with this call
+    products = None if workload is None else dec.ProductMemo(workload, x)
     rows = []
     any_decode_failure = False
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, _TAG_TRIAL, t])
         rep = sim.simulate_round(plan, cfg.roster, cfg.timing, cfg.comm, rng,
-                                 workload=workload, x=x)
+                                 products=products)
         any_decode_failure |= not rep.decode_ok
         rows.append([
             rep.scheme, t, plan.k_bar, plan.s_bar,

@@ -25,11 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import ClientRoster, CodingPlan
+from .coding import ClientRoster, CodingPlan, EncodedWorkload
 from .matrices import ShapeError
 
 DECODE_TOL = 1e-8       # row-wise relative residual bound
@@ -90,6 +90,28 @@ def problem_from_workload(workload, x, workers) -> DecodeProblem:
         ReturnedResult(int(w), workload.G[w], workload.coded[w].matvec_t(x))
         for w in workers)
     return DecodeProblem(returned, workload.G.shape[1])
+
+
+@dataclass(eq=False)
+class ProductMemo:
+    """Every worker's product for one workload and one x, computed once.
+
+    A product depends only on its coded block and x, so rounds that share x
+    share products.  Missing ones go through problem_from_workload, the one
+    place a product is computed.
+    """
+    workload: EncodedWorkload
+    x: np.ndarray
+    results: dict = field(default_factory=dict, init=False)  # worker -> result
+
+    def problem(self, workers) -> DecodeProblem:
+        """The listed workers' results in the order given."""
+        missing = [w for w in workers if w not in self.results]
+        if missing:
+            fresh = problem_from_workload(self.workload, self.x, missing)
+            self.results.update((r.worker, r) for r in fresh.returned)
+        return DecodeProblem(tuple(self.results[w] for w in workers),
+                             self.workload.G.shape[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import decoding as dec
-from .coding import (ClientRoster, CodingPlan, EncodedWorkload, build_plan,
-                     encode, iter_encoded_blocks)
+from .coding import (ClientRoster, CodingPlan, build_plan, encode,
+                     iter_encoded_blocks)
 from .matrices import PartitionedMatrix, as_matrix, partition_uniform
 
 
@@ -134,18 +134,19 @@ def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
 
 def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
                    comm: CommModel, rng: np.random.Generator, *,
-                   workload: EncodedWorkload | None = None,
-                   x: np.ndarray | None = None,
+                   products: dec.ProductMemo | None = None,
                    late: tuple[int, ...] = ()) -> SimReport:
     """One full round: transfers, compute with stragglers, decode.
 
-    With ``workload`` the decode runs on its real products with ``x``;
-    without one it runs on synthetic products consistent with the plan's
-    coefficients, which exercises the same solver path.  Clients in
-    ``late`` start their tasks once the last on-time client has finished.
+    With ``products`` the decode runs on its workload's real products,
+    each computed once per memo; without one it runs on synthetic products
+    consistent with the plan's coefficients, which exercises the same
+    solver path.  Clients in ``late`` start their tasks once the last
+    on-time client has finished.
     """
-    if workload is not None:
-        alpha, rows = workload.alpha, workload.coded[0].rows
+    if products is not None:
+        alpha = products.workload.alpha
+        rows = products.workload.coded[0].rows
     else:
         alpha, rows = roster.base_width, 1
 
@@ -162,6 +163,9 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
 
     # sequential execution per physical client, on-time clients starting
     # after comms and late ones after the last on-time finish
+    owned: dict[int, list[int]] = {}
+    for s in plan.specs:
+        owned.setdefault(s.owner_client, []).append(s.worker)
     finish: dict[int, float] = {}
     start = comm_delay
     for is_late in (False, True):
@@ -169,10 +173,9 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
             if c.id in failed or (c.id in late) != is_late:
                 continue
             clock = start
-            for s in plan.specs:
-                if s.owner_client == c.id:
-                    clock += timing.task_time(c, alpha, roster.base_speed, rng)
-                    finish[s.worker] = clock
+            for w in owned.get(c.id, ()):
+                clock += timing.task_time(c, alpha, roster.base_speed, rng)
+                finish[w] = clock
         start = max(finish.values(), default=comm_delay)
 
     arrival = sorted(finish, key=lambda w: (finish[w], w))
@@ -187,8 +190,8 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
         # decode reads the first k arrivals only, so only those are computed;
         # worker order makes the result depend on who arrived, not when
         first = sorted(arrival[:k])
-        if workload is not None:
-            problem = dec.problem_from_workload(workload, x, first)
+        if products is not None:
+            problem = products.problem(first)
         else:
             # synthetic unknowns give the decoder real work at zero data cost
             G = plan.coefficient_matrix()[first]
@@ -341,13 +344,14 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, seed: int = 0,
     for _ in range(steps):
         e = dense @ beta - y
         losses.append(float(e @ e))
+        products = dec.ProductMemo(wl, e)   # retries reuse this step's products
         for attempt in range(MAX_RETRIES + 1):
             late = tuple(sorted(
                 int(c) for c in rng.choice(clients, size=stragglers_per_round,
                                            replace=False)))
             # comm delay shifts every finish alike, never who decodes
             rep = simulate_round(plan, roster, timing, CommModel(), round_rng,
-                                 workload=wl, x=e, late=late)
+                                 products=products, late=late)
             if rep.decode_ok:
                 break
             retried += 1

@@ -5,6 +5,7 @@ keep resolving, or the benchmark fails before it measures anything."""
 
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -78,3 +79,42 @@ def test_bench_still_uses_the_hook(hook):
     used = [f.name for f in (BENCH / "run.py", BENCH / "test_bench.py")
             if re.search(rf"\.{attr}\b", f.read_text())]
     assert used, f"{hook} is no longer used under bench/"
+
+
+@pytest.mark.parametrize("command, section", [
+    ("simulate", {"matrix": {"rows": 42, "cols": 21, "kind": "dense"},
+                  "trials": 20}),
+    ("simulate", {"matrix": {"rows": 42, "cols": 21, "kind": "sparse",
+                             "zero_fraction": 0.5}, "trials": 20}),
+    ("fl-demo", {"fl": {"rows": 42, "cols": 21, "steps": 10,
+                        "stragglers_per_round": 2}}),
+], ids=["simulate-dense", "simulate-sparse", "fl-demo"])
+def test_products_are_computed_in_problem_from_workload(tmp_path, monkeypatch,
+                                                        command, section):
+    # bench/run.py's decoding.products_computed counts only the matvec_t
+    # calls made inside problem_from_workload
+    doc = {"seed": 3, "schemes": ["proposed"], "scale": 1,
+           "roster": {"active": [2, 2, 1, 1, 1], "passive": [1, 1],
+                      "base_width": 3},
+           "out": str(tmp_path / "out"), **section}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    calls = {"inside": 0, "outside": 0}
+    depth = [0]
+    problem_from_workload = decoding.problem_from_workload
+
+    def traced(*args):
+        depth[0] += 1
+        try:
+            return problem_from_workload(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(decoding, "problem_from_workload", traced)
+    for cls in (matrices.DenseMatrix, matrices.SparseMatrix):
+        def counted(block, x, matvec_t=cls.matvec_t):
+            calls["inside" if depth[0] else "outside"] += 1
+            return matvec_t(block, x)
+        monkeypatch.setattr(cls, "matvec_t", counted)
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert calls["inside"] > 0 and calls["outside"] == 0

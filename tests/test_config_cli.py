@@ -285,6 +285,25 @@ def test_verify_sampled_mode(tmp_path):
     assert rep["subsets"]["subsets_checked"] == 25
 
 
+def test_verify_stored_plan_with_config_uses_its_out_and_seed(tmp_path,
+                                                               monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, example_doc(out, schemes=["proposed"]))
+    assert cli.main(["plan", "--config", cfg]) == 0
+    plan_file = out / "plan_proposed.json"
+    plan, _ = cd.plan_from_dict(json.loads(plan_file.read_text()))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--plan", str(plan_file), "--config", cfg,
+                     "--sample", "5"]) == 0
+    assert not (tmp_path / "resilience.json").exists()
+    rep = json.loads((out / "resilience.json").read_text())
+    # the config's seed 7 draws the sample, not the default 0
+    sampled = {seed: dec.check_all_subsets(plan, sample=5, seed=seed).to_dict()
+               for seed in (0, 7)}
+    assert sampled[0] != sampled[7]
+    assert rep["subsets"] == sampled[7]
+
+
 def test_simulate_outputs_and_determinism(tmp_path):
     doc = example_doc(tmp_path / "out",
                       matrix={"rows": 42, "cols": 21, "kind": "sparse",
@@ -410,6 +429,42 @@ def test_missing_config_is_exit_2(tmp_path):
     assert cli.main(["simulate", "--config",
                      str(tmp_path / "absent.json")]) == 2
     assert cli.main(["verify"]) == 2
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "dense"])
+def test_simulate_computes_each_product_once(tmp_path, monkeypatch, scheme):
+    # 50 trials decode from 50 * k_bar products, all from n_bar coded blocks
+    doc = example_doc(tmp_path / "out", schemes=[scheme], trials=50)
+    cfg = write_config(tmp_path, doc)
+    n_bar = cd.build_plan(scheme, load_config(cfg).roster, 7).n_bar
+    blocks = []
+    matvec_t = mx.DenseMatrix.matvec_t
+
+    def counted(block, x):
+        blocks.append(id(block))
+        return matvec_t(block, x)
+
+    monkeypatch.setattr(mx.DenseMatrix, "matvec_t", counted)
+    assert cli.main(["simulate", "--config", cfg, "--require-decode"]) == 0
+    assert 0 < len(blocks) <= n_bar
+    assert len(blocks) == len(set(blocks))
+
+
+def test_simulate_memo_matches_fresh_problems(tmp_path, monkeypatch):
+    # round.csv is the same when every round computes its products afresh
+    doc = example_doc(tmp_path / "memo", trials=30,
+                      timing={"noise": 1.0, "failure_prob": 0.1})
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    monkeypatch.setattr(dec.ProductMemo, "problem", lambda self, workers:
+                        dec.problem_from_workload(self.workload, self.x,
+                                                  workers))
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "fresh")]) == 0
+    memo = (tmp_path / "memo" / "round.csv").read_bytes()
+    assert memo == (tmp_path / "fresh" / "round.csv").read_bytes()
+    decoded = [r[9] for r in read_csv(tmp_path / "memo" / "round.csv")[1:]]
+    assert "true" in decoded and "false" in decoded
 
 
 def test_fl_demo_writes_trajectory(tmp_path):

@@ -164,10 +164,41 @@ def test_simulate_with_real_workload():
     wl = cd.encode(mx.partition_uniform(A, 6), plan)
     x = rng(12).standard_normal(9)
     rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=1.0),
-                             sim.CommModel(), rng(13), workload=wl, x=x)
+                             sim.CommModel(), rng(13),
+                             products=dec.ProductMemo(wl, x))
     assert rep.decode_ok
     # bytes use the real block shape: 9 rows x 3 cols x 8 bytes x transfers
     assert rep.total_bytes_d2d == pytest.approx(9 * 3 * 8 * len(plan.transfers))
+    np.testing.assert_allclose(rep.decoded.concatenated(),
+                               A.to_dense().T @ x, rtol=1e-10)
+
+
+def test_rounds_sharing_a_memo_compute_each_product_once(monkeypatch):
+    roster = cd.make_roster([1] * 6, [1] * 2, base_width=3)
+    plan = cd.build_heterogeneous_plan(roster, seed=1)
+    A = mx.random_dense(9, 18, rng(11))
+    wl = cd.encode(mx.partition_uniform(A, 6), plan)
+    x = rng(12).standard_normal(9)
+    fresh = dec.problem_from_workload
+    computed = []
+
+    def counted(workload, x, workers):
+        computed.extend(workers)
+        return fresh(workload, x, workers)
+
+    monkeypatch.setattr(dec, "problem_from_workload", counted)
+    memo = dec.ProductMemo(wl, x)
+    used = []
+    for t in range(20):
+        rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=1.0),
+                                 sim.CommModel(), rng(t), products=memo)
+        used.append(rep.decoded.used_workers)
+        # a memo decode equals the decode of a freshly computed problem
+        again = dec.decode(fresh(wl, x, rep.decoded.used_workers))
+        assert np.array_equal(rep.decoded.block_products, again.block_products)
+    assert len(set(used)) > 1                    # the arrivals did vary
+    assert len(computed) == len(set(computed))
+    assert set(computed) == {w for u in used for w in u}
 
 
 def test_task_times_follow_the_roster():
@@ -322,6 +353,50 @@ def test_fl_demo_matches_uncoded_oracle(active, passive, rows, cols, seed):
     assert res.rounds_retried == 0
     assert len(res.straggled) == 40
     assert all(len(s) == 2 for s in res.straggled)
+
+
+def _fl_demo_with_a_retry_every_step(monkeypatch, memo: bool):
+    """fl_demo whose first decode in each step fails; returns the result and
+    the (coded block, x) pair of every product computed."""
+    g = rng(19)
+    D = mx.random_dense(30, 12, g)
+    y = g.standard_normal(30)
+    roster = cd.make_roster([1] * 6, [1] * 2)
+    products = []
+    matvec_t = mx.DenseMatrix.matvec_t
+
+    def counted(block, x):
+        products.append((id(block), x.tobytes()))
+        return matvec_t(block, x)
+
+    decode, calls = dec.decode, [0]
+
+    def flaky(problem, rows=None):
+        calls[0] += 1
+        if calls[0] % 2:
+            raise dec.RankDeficientError("forced failure", ())
+        return decode(problem, rows)
+
+    monkeypatch.setattr(mx.DenseMatrix, "matvec_t", counted)
+    monkeypatch.setattr(dec, "decode", flaky)
+    if not memo:
+        monkeypatch.setattr(dec.ProductMemo, "problem", lambda self, workers:
+                            dec.problem_from_workload(self.workload, self.x,
+                                                      workers))
+    res = sim.fl_demo(D, y, roster, steps=15, seed=20, stragglers_per_round=2)
+    monkeypatch.undo()
+    return res, products
+
+
+def test_fl_demo_retries_reuse_the_steps_products(monkeypatch):
+    res, products = _fl_demo_with_a_retry_every_step(monkeypatch, memo=True)
+    assert res.rounds_retried == 15
+    assert len(products) == len(set(products))   # none twice within a step
+    fresh, recomputed = _fl_demo_with_a_retry_every_step(monkeypatch, memo=False)
+    assert len(recomputed) == 2 * 15 * 6
+    assert len(products) < len(recomputed)
+    assert np.array_equal(res.betas, fresh.betas)
+    assert res.straggled == fresh.straggled
 
 
 def test_fl_demo_identity_converges_to_target():
