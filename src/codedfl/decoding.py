@@ -11,6 +11,39 @@ one stacked SVD, which gives each subset's rank (with
 ``np.linalg.matrix_rank``'s tolerance) and its condition number; straggler
 patterns that ``certify`` cannot count rank their survivors the same way.
 
+Most subsets never need that SVD: a bound from G's left null space settles
+them (the generator/parity-check duality, via the CS decomposition; Golub &
+Van Loan, *Matrix Computations*).  Take G = QR in complete mode, so that
+Q = [Q_1 N] is orthogonal, N = Q[:, k_bar:] spans the left null space, and
+G = Q_1 R_1 with R_1 = R[:k_bar].  Split the rows into a kept subset S and
+the s_bar removed rows D.  Orthogonality of Q gives
+
+    Q_1[S]^T Q_1[S] = I - Q_1[D]^T Q_1[D],   N[D] N[D]^T = I - Q_1[D] Q_1[D]^T,
+
+and the nonunit eigenvalues of both are 1 - sigma_i(Q_1[D])^2, so
+sigma_min(Q_1[S]) = sigma_min(N[D]) =: sigma.  When s_bar < k_bar, Q_1[D] has
+a null vector, so sigma_max(Q_1[S]) = 1.  As G[S] = Q_1[S] R_1 with R_1 square,
+
+    1 / (kappa(R_1) sigma)  <=  cond(G[S])  <=  kappa(R_1) / sigma.
+
+One QR and one stacked SVD of the s_bar x s_bar blocks N[D] bound every
+subset.  The exact SVD then runs only on the open subsets:
+  - those whose upper bound reaches RANK_MARGIN / (k_bar eps), where
+    matrix_rank's threshold 1 / (k_bar eps) may be near, so the verdict is
+    open;
+  - those whose upper bound reaches, less BOUND_SLACK, the exact cond of the
+    settled subset with the largest lower bound (one extra SVD), so they
+    might hold the maximum.
+A settled subset has k_bar eps cond < RANK_MARGIN, so rounding in the QR and
+the SVDs moves its bound and its computed cond by about RANK_MARGIN
+relative, well inside BOUND_SLACK: a subset that is not open is full rank
+and its computed cond is below the maximum.  The exact SVD runs in
+enumeration order on the same rows as before, so failures, max_cond and
+worst_subset are those of ranking every subset.  Every subset is open where
+the bound does not apply: s_bar = 0, s_bar >= k_bar (sigma_max(Q_1[S]) may
+be below 1 and the lower bound fails), or a G of rank below k_bar, whose
+kappa is inf or far above the limit.
+
 The matching certificate follows from rank.  If sigma_min of G_S clears the
 SVD tolerance, G_S is nonsingular (the computed singular values lie within
 rounding of the exact ones), so its determinant has a nonzero Leibniz
@@ -36,6 +69,8 @@ DECODE_TOL = 1e-8       # row-wise relative residual bound
 PIVOT_REL_TOL = 1e-10   # pivot below this times the matrix scale is zero
 SUBSET_GUARD = 10 ** 6  # most subsets or straggler sets enumerated in full
 RANK_CHUNK = 2048       # matrices per stacked SVD: 12.8 MB at 28x28
+RANK_MARGIN = 1e-3      # bound below RANK_MARGIN / (k_bar eps) settles rank
+BOUND_SLACK = 1e-2      # relative slack when a bound is compared to the max
 
 
 class DecodeError(Exception):
@@ -179,8 +214,8 @@ class ResilienceReport:
     k_bar: int
     s_bar: int
     subsets_checked: int
+    subsets_ranked: int                    # of those, ranked by the exact SVD
     failures: tuple[tuple[int, ...], ...]
-    min_cond: float
     max_cond: float
     worst_subset: tuple[int, ...] | None   # first subset at max_cond
     exhaustive: bool
@@ -195,8 +230,8 @@ class ResilienceReport:
             "k_bar": self.k_bar,
             "s_bar": self.s_bar,
             "subsets_checked": self.subsets_checked,
+            "subsets_ranked": self.subsets_ranked,
             "failures": [list(f) for f in self.failures],
-            "min_cond": self.min_cond,
             "max_cond": self.max_cond,
             "worst_subset": (None if self.worst_subset is None
                              else list(self.worst_subset)),
@@ -211,9 +246,19 @@ def iter_subsets(n_bar, k_bar, sample, seed):
         yield from itertools.combinations(range(n_bar), k_bar)
         return
     rng = np.random.default_rng(seed)
-    for _ in range(sample):
-        pick = np.sort(rng.permutation(n_bar)[:k_bar])
-        yield tuple(int(i) for i in pick)
+    for start in range(0, sample, RANK_CHUNK):
+        # permuted shuffles row after row: the draws of one
+        # rng.permutation(n_bar) per subset, in one call per chunk
+        rows = np.tile(np.arange(n_bar), (min(RANK_CHUNK, sample - start), 1))
+        picks = np.sort(rng.permuted(rows, axis=1)[:, :k_bar], axis=1)
+        yield from map(tuple, picks.tolist())
+
+
+def _chunks(items):
+    """Consecutive lists of at most RANK_CHUNK items."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, RANK_CHUNK)):
+        yield chunk
 
 
 def _rank_and_cond(G: np.ndarray, rows: list):
@@ -233,13 +278,55 @@ def _rank_and_cond(G: np.ndarray, rows: list):
     return np.count_nonzero(S > tol, axis=-1), cond
 
 
+def _open_subsets(G: np.ndarray, sample, seed) -> np.ndarray:
+    """One flag per subset, in enumeration order: does it need the exact SVD?
+
+    A subset is open when its null-space upper bound on cond reaches
+    RANK_MARGIN / (k_bar eps), or reaches the exact cond of the settled
+    subset with the largest lower bound, less BOUND_SLACK; see the module
+    docstring.  Every subset is open where the bound does not apply.
+    """
+    n_bar, k_bar = G.shape
+    s_bar = n_bar - k_bar
+    upper = np.full(math.comb(n_bar, k_bar) if sample is None else sample,
+                    np.inf)
+    floor = 0.0     # a cond the maximum reaches
+    if 0 < s_bar < k_bar:
+        limit = RANK_MARGIN / (k_bar * np.finfo(G.dtype).eps)
+        Q, R = np.linalg.qr(G, mode="complete")
+        sv = np.linalg.svd(R[:k_bar], compute_uv=False)
+        N = Q[:, k_bar:]
+        start = 0
+        least, least_sigma = None, np.inf   # settled, largest lower bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = sv[0] / sv[-1]
+            for chunk in _chunks(iter_subsets(n_bar, k_bar, sample, seed)):
+                kept = np.zeros((len(chunk), n_bar), dtype=bool)
+                kept[np.arange(len(chunk))[:, None], chunk] = True
+                removed = np.nonzero(~kept)[1].reshape(len(chunk), s_bar)
+                sigma = np.linalg.svd(N[removed], compute_uv=False)[:, -1]
+                bound = upper[start:start + len(chunk)] = kappa / sigma
+                start += len(chunk)
+                settled = np.flatnonzero(bound < limit)
+                if settled.size:
+                    i = settled[np.argmin(sigma[settled])]
+                    if sigma[i] < least_sigma:
+                        least, least_sigma = chunk[i], sigma[i]
+        if least is not None:
+            rank, cond = _rank_and_cond(G, [least])
+            floor = float(cond[rank == k_bar].max(initial=0))
+    # the cut is below limit, so only settled subsets close; NaN stays open
+    return ~(upper < (1 - BOUND_SLACK) * floor)
+
+
 def check_all_subsets(plan: CodingPlan, sample: int | None = None,
                       seed: int = 0) -> ResilienceReport:
     """Rank-test every k_bar-subset of coefficient rows (or a random sample).
 
     Rank comes from the SVD, a route fully independent of the decoder's LU,
-    so the two can cross-check each other.  Subsets stream
-    through in chunks of RANK_CHUNK, one stacked SVD each.
+    so the two can cross-check each other.  A null-space bound settles most
+    subsets first; the rest stream through in chunks of RANK_CHUNK, one
+    stacked SVD each, with the verdicts and conds of ranking every subset.
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
@@ -250,27 +337,30 @@ def check_all_subsets(plan: CodingPlan, sample: int | None = None,
         raise SubsetGuardError(
             f"{total} subsets exceed the exhaustive guard ({SUBSET_GUARD}); "
             "use --sample N")
-    subsets = iter_subsets(n_bar, k_bar, sample, seed)
+    is_open = _open_subsets(G, sample, seed)
     failures = []
-    min_cond = max_cond = float("inf")
+    max_cond = float("inf")
     worst = None
     checked = 0
-    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
+    for chunk in _chunks(iter_subsets(n_bar, k_bar, sample, seed)):
+        picked = [chunk[i] for i in
+                  np.flatnonzero(is_open[checked:checked + len(chunk)])]
         checked += len(chunk)
-        rank, cond = _rank_and_cond(G, chunk)
+        if not picked:
+            continue
+        rank, cond = _rank_and_cond(G, picked)
         full = np.flatnonzero(rank == k_bar)
-        failures.extend(chunk[i] for i in np.flatnonzero(rank < k_bar))
+        failures.extend(picked[i] for i in np.flatnonzero(rank < k_bar))
         if full.size == 0:
             continue
         good = cond[full]
         top = int(np.argmax(good))
-        min_cond = min(min_cond, float(good.min()))
         if worst is None or good[top] > max_cond:
-            max_cond, worst = float(good[top]), chunk[full[top]]
+            max_cond, worst = float(good[top]), picked[full[top]]
     return ResilienceReport(
         scheme=plan.scheme, k_bar=k_bar, s_bar=plan.s_bar,
-        subsets_checked=checked, failures=tuple(failures),
-        min_cond=min_cond, max_cond=max_cond, worst_subset=worst,
+        subsets_checked=checked, subsets_ranked=int(is_open.sum()),
+        failures=tuple(failures), max_cond=max_cond, worst_subset=worst,
         exhaustive=sample is None)
 
 
@@ -422,7 +512,7 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
     straggler_sets = (combo for size in range(max_stragglers + 1)
                       for combo in itertools.combinations(roster.clients, size))
     buckets: dict[tuple, list] = {}
-    while chunk := list(itertools.islice(straggler_sets, RANK_CHUNK)):
+    for chunk in _chunks(straggler_sets):
         by_rows: dict[int, list] = {}    # row count -> (pattern key, survivors)
         for combo in chunk:
             removed = {w for c in combo for w in owned[c.id]}

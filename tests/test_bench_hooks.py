@@ -3,6 +3,7 @@ tracer (bench/spans.py) patches functions by name, and bench/run.py and
 bench/test_bench.py call a few internals directly.  Every such hook must
 keep resolving, or the benchmark fails before it measures anything."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -70,6 +71,7 @@ def test_matching_result_constructs_positionally():
 @pytest.mark.parametrize("hook", [
     *(f"cli.{name}" for name in CLI_HOOKS),
     "decoding.decode",
+    "decoding.check_all_subsets",
     "decoding.DecodeResult",
     "decoding.MatchingResult",
 ])
@@ -79,6 +81,33 @@ def test_bench_still_uses_the_hook(hook):
     used = [f.name for f in (BENCH / "run.py", BENCH / "test_bench.py")
             if re.search(rf"\.{attr}\b", f.read_text())]
     assert used, f"{hook} is no longer used under bench/"
+
+
+def test_verify_reports_a_patched_subset_survey(tmp_path, monkeypatch):
+    # bench/test_bench.py undercounts the survey by patching
+    # check_all_subsets with dataclasses.replace; certify must look the
+    # function up at call time, and resilience.json must keep every key
+    # bench/workloads.py::check_certify reads
+    real = decoding.check_all_subsets
+
+    def one_short(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report,
+                                   subsets_checked=report.subsets_checked - 1)
+
+    monkeypatch.setattr(decoding, "check_all_subsets", one_short)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "roster": {"active": [1] * 6,
+                                                     "passive": [1, 1]}}))
+    assert cli.main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+    res = json.loads((tmp_path / "out" / "resilience.json").read_text())
+    sub = res["subsets"]
+    assert sub["subsets_checked"] == 27       # C(8, 6) - 1
+    assert sub["exhaustive"] is True and sub["failures"] == []
+    assert isinstance(sub["max_cond"], float)
+    assert res["matching"]["checked"] == 27
+    assert res["patterns"]["max_stragglers"] == 3
 
 
 @pytest.mark.parametrize("command, section", [

@@ -209,12 +209,33 @@ def test_verify_from_config(tmp_path, capsys):
     doc = json.loads((tmp_path / "out" / "resilience.json").read_text())
     assert doc["subsets"]["ok"] and doc["subsets"]["exhaustive"]
     assert doc["subsets"]["subsets_checked"] == 36
+    assert 1 <= doc["subsets"]["subsets_ranked"] <= 36
+    assert "min_cond" not in doc["subsets"]
     assert len(doc["subsets"]["worst_subset"]) == doc["subsets"]["k_bar"]
-    assert f"worst subset={doc['subsets']['worst_subset']}" \
-        in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert (f"condition numbers: max={doc['subsets']['max_cond']:.3e} "
+            f"worst subset={doc['subsets']['worst_subset']}") in stdout
+    assert f"ranked {doc['subsets']['subsets_ranked']} of 36 exactly" in stdout
     assert doc["matching"]["all_perfect"]
     assert sorted(map(tuple, doc["patterns"]["maximal_tolerable"])) \
         == [(0, 0), (1,)]
+
+
+@pytest.mark.parametrize("active, passive", [
+    ([2, 2, 1, 1, 1], [1, 1]), ([1] * 28, [1, 1])], ids=["readme", "28+2"])
+def test_verify_reruns_are_byte_identical(tmp_path, active, passive):
+    # criterion 8: the bound's selection, and so subsets_ranked, is as
+    # deterministic as the verdicts
+    doc = {"seed": 3, "roster": {"active": active, "passive": passive}}
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for run in ("a", "b"):
+        assert cli.main(["verify", "--config", cfg,
+                         "--out", str(tmp_path / run)]) == 0
+        blobs.append((tmp_path / run / "resilience.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    subsets = json.loads(blobs[0])["subsets"]
+    assert subsets["subsets_ranked"] < subsets["subsets_checked"]
 
 
 def test_verify_stored_plan_and_tampered_plan(tmp_path):

@@ -187,7 +187,7 @@ def test_decode_forward_error_at_k28(plan_seed, seed):
 # subset surveys
 
 def reference_survey(plan, sample=None, seed=0):
-    """Per-subset matrix_rank/cond loop: failures, min/max cond, worst subset."""
+    """Per-subset matrix_rank/cond loop: failures, max cond, worst subset."""
     G = plan.coefficient_matrix()
     failures, conds = [], []
     for subset in dec.iter_subsets(plan.n_bar, plan.k_bar, sample, seed):
@@ -196,14 +196,17 @@ def reference_survey(plan, sample=None, seed=0):
             failures.append(subset)
         else:
             conds.append((float(np.linalg.cond(sub)), subset))
-    worst = max(conds, key=lambda c: c[0])     # first of equal maxima
-    return (tuple(failures), min(c for c, _ in conds), worst[0], worst[1])
+    worst = max(conds, key=lambda c: c[0],     # first of equal maxima
+                default=(float("inf"), None))
+    return (tuple(failures), worst[0], worst[1])
 
 
 def assert_matches_reference(report, plan, sample=None, seed=0):
-    # the stacked SVD must reproduce the per-subset route bit for bit
-    assert (report.failures, report.min_cond, report.max_cond,
+    # the bound plus the stacked SVD must reproduce ranking every subset
+    # one by one, bit for bit
+    assert (report.failures, report.max_cond,
             report.worst_subset) == reference_survey(plan, sample, seed)
+    assert 1 <= report.subsets_ranked <= report.subsets_checked
 
 
 def tampered_plan():
@@ -216,23 +219,37 @@ def tampered_plan():
     return cd.plan_from_dict(d)
 
 
+def with_row(plan, worker, row):
+    """The plan with one worker's coefficient row replaced."""
+    support = tuple(int(j) for j in np.flatnonzero(row))
+    specs = tuple(
+        cd.CodedBlockSpec(s.worker, s.owner_client, support,
+                          tuple(float(row[j]) for j in support), "tampered")
+        if s.worker == worker else s for s in plan.specs)
+    return cd.CodingPlan(plan.scheme, plan.k_bar, plan.s_bar, specs,
+                         plan.transfers)
+
+
 def test_check_all_subsets_fig1_exhaustive():
     plan = cd.build_homogeneous_plan(10, 2, seed=0)
     report = dec.check_all_subsets(plan)
     assert report.subsets_checked == 66
     assert report.failures == ()
     assert report.ok and report.exhaustive
-    assert np.isfinite(report.min_cond) and np.isfinite(report.max_cond)
-    assert report.min_cond <= report.max_cond
+    assert np.isfinite(report.max_cond) and report.max_cond >= 1
+    assert len(report.worst_subset) == 10
+    assert report.subsets_ranked < report.subsets_checked
     assert_matches_reference(report, plan)
 
 
 def test_check_all_subsets_identity_plan():
+    # s_bar = 0: no null space to bound with, so the one subset is ranked
     plan = cd.build_homogeneous_plan(5, 0)
     report = dec.check_all_subsets(plan)
-    assert report.subsets_checked == 1
+    assert report.subsets_checked == report.subsets_ranked == 1
     assert report.ok
     assert report.worst_subset == (0, 1, 2, 3, 4)
+    assert_matches_reference(report, plan)
 
 
 def test_check_all_subsets_flags_duplicate_rows():
@@ -242,6 +259,75 @@ def test_check_all_subsets_flags_duplicate_rows():
     assert (0, 1, 2) not in report.failures
     assert any(0 in f and 3 in f for f in report.failures)
     assert_matches_reference(report, tampered)
+
+
+@pytest.mark.parametrize("delta", [10.0 ** (e / 2) for e in range(-34, -15)])
+@pytest.mark.parametrize("j", [0, 3])
+def test_near_singular_verdicts_equal_matrix_rank(delta, j):
+    # worker 7 repeats worker 0's row up to delta in column j: subsets
+    # holding both have cond near 1/delta, and the sweep crosses
+    # matrix_rank's threshold 1/(6 eps), about 7.5e14
+    plan = cd.build_homogeneous_plan(6, 2, seed=1)
+    row = plan.coefficient_matrix()[0].copy()
+    row[j] += delta
+    near = with_row(plan, 7, row)
+    report = dec.check_all_subsets(near)
+    assert_matches_reference(report, near)
+    both = {s for s in itertools.combinations(range(8), 6)
+            if 0 in s and 7 in s}
+    assert set(report.failures) <= both
+    if delta <= 1e-16:
+        assert set(report.failures) == both
+    if delta >= 1e-12:
+        assert report.ok
+
+
+def rank_deficient_plan():
+    """A dense 4+2 plan whose last block column repeats the first."""
+    plan = cd.build_dense_plan(cd.make_roster([1] * 4, [1, 1]), seed=2)
+    G = plan.coefficient_matrix()
+    for w in range(plan.n_bar):
+        row = G[w].copy()
+        row[-1] = row[0]
+        plan = with_row(plan, w, row)
+    return plan
+
+
+def square_dense_plan(k):
+    """k blocks, 2k random dense rows: s_bar = k_bar, which no roster gives."""
+    G = rng(k).uniform(-1, 1, size=(2 * k, k))
+    specs = tuple(cd.CodedBlockSpec(w, w, tuple(range(k)), tuple(G[w]), "test")
+                  for w in range(2 * k))
+    return cd.CodingPlan("dense", k, k, specs, ())
+
+
+@pytest.mark.parametrize("setup", [
+    rank_deficient_plan,
+    lambda: square_dense_plan(2),
+    lambda: cd.build_uncoded_plan(cd.make_roster([2, 1, 1], [1])),
+], ids=["rank-below-k", "s-equals-k", "uncoded"])
+def test_subsets_the_bound_cannot_settle_are_all_ranked(setup):
+    # a G of rank below k_bar, s_bar >= k_bar (where the lower bound fails)
+    # and s_bar = 0 (uncoded; see also the identity plan) take the
+    # all-subsets selection through one loop
+    plan = setup()
+    report = dec.check_all_subsets(plan)
+    assert report.subsets_ranked == report.subsets_checked
+    assert_matches_reference(report, plan)
+    if setup is rank_deficient_plan:
+        assert np.linalg.matrix_rank(plan.coefficient_matrix()) == 3
+        assert len(report.failures) == report.subsets_checked == 15
+        assert report.worst_subset is None
+
+
+def test_bound_prunes_a_k28_survey():
+    # a 28+2 plan of the rounds benchmark's shape: most of the 435 subsets
+    # are settled by the bound, with the verdicts and max of all 435
+    plan = cd.build_homogeneous_plan(28, 2, seed=3)
+    report = dec.check_all_subsets(plan)
+    assert report.subsets_checked == 435
+    assert report.subsets_ranked < report.subsets_checked // 2
+    assert_matches_reference(report, plan)
 
 
 def test_check_all_subsets_guard_and_sampling():
@@ -259,12 +345,53 @@ def test_check_all_subsets_guard_and_sampling():
     assert_matches_reference(big, plan, sample=2 * dec.RANK_CHUNK + 3, seed=4)
 
 
+def test_sampled_subsets_are_one_permutation_each():
+    # the chunked draw keeps the sample of one rng.permutation per subset,
+    # so a seed picks the same subsets as before
+    rng_ = np.random.default_rng(9)
+    want = [tuple(int(i) for i in np.sort(rng_.permutation(31)[:28]))
+            for _ in range(dec.RANK_CHUNK + 7)]
+    assert list(dec.iter_subsets(31, 28, dec.RANK_CHUNK + 7, 9)) == want
+
+
+def test_sampled_survey_with_repeats_across_chunks():
+    # 28 distinct subsets drawn 2 * RANK_CHUNK + 5 times: every repeat gets
+    # the same bound, and the worst subset is the first draw at the max
+    plan = cd.build_homogeneous_plan(6, 2, seed=5)
+    sample = 2 * dec.RANK_CHUNK + 5
+    report = dec.check_all_subsets(plan, sample=sample, seed=6)
+    assert report.subsets_checked == sample and not report.exhaustive
+    assert len(set(dec.iter_subsets(8, 6, sample, 6))) == 28
+    assert_matches_reference(report, plan, sample=sample, seed=6)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["proposed", "dense", "poly", "uncoded"]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       st.integers(0, 10_000), st.data())
+def test_check_all_subsets_matches_reference_on_rosters(scheme, active, seed,
+                                                        data):
+    # heterogeneous rosters of every scheme, the passives a strict
+    # sub-multiset of the actives
+    keep = data.draw(st.lists(st.booleans(), min_size=len(active) - 1,
+                              max_size=len(active) - 1))
+    roster = cd.make_roster(active, [c for c, k in zip(active, keep) if k])
+    plan = cd.build_plan(scheme, roster, seed)
+    if math.comb(plan.n_bar, plan.k_bar) > 2000:
+        return
+    report = dec.check_all_subsets(plan)
+    assert report.subsets_checked == math.comb(plan.n_bar, plan.k_bar)
+    assert_matches_reference(report, plan)
+
+
 def test_resilience_report_roundtrips_to_dict():
     report = dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3))
     d = report.to_dict()
     assert d["ok"] and d["subsets_checked"] == 28
     assert d["failures"] == []
     assert d["worst_subset"] == list(report.worst_subset)
+    assert d["subsets_ranked"] == report.subsets_ranked
+    assert "min_cond" not in d
     assert dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),
                                  sample=0).to_dict()["worst_subset"] is None
 
