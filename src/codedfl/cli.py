@@ -275,7 +275,8 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
 
     # the coded blocks serve the rounds only; free them before the bench
     # section generates its own matrices (at 1000 x 31500 and 99% zeros
-    # the dense scheme's blocks alone take 95 MB)
+    # the dense scheme's blocks alone take about 67 MB, their index arrays
+    # shared)
     del workload_by_scheme
 
     out = _out_dir(cfg.out)

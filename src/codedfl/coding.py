@@ -22,7 +22,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy import sparse as _sp
 
-from .matrices import DenseMatrix, Matrix, PartitionedMatrix, SparseMatrix
+from .matrices import (DenseMatrix, Matrix, PartitionedMatrix, SparseMatrix,
+                       _freeze)
 
 
 class RosterError(ValueError):
@@ -317,25 +318,84 @@ class EncodedWorkload:
         return len(self.coded)
 
 
+def _overlay(A: _sp.csc_matrix, k: int, alpha: int):
+    """The k block-columns of A laid over the union of their patterns.
+
+    Returns (S, indices, indptr, shape): column q of the n_union x k
+    matrix S holds block q's entries, each at the rank of its cell in the
+    union, and shares A's data; indices/indptr are the union's read-only
+    CSC pattern as a block of that shape, row indices sorted.
+    """
+    rows = A.shape[0]
+    # flat cell (col mod alpha) * rows + row of every stored entry
+    flat = np.repeat(np.arange(A.shape[1]) % alpha * rows, np.diff(A.indptr))
+    flat += A.indices
+    mark = np.zeros(alpha * rows, dtype=bool)
+    mark[flat] = True
+    pos = np.flatnonzero(mark)
+    idx = _sp.get_index_dtype(maxval=max(rows, alpha, A.nnz))
+    rank = np.cumsum(mark, dtype=idx)
+    rank -= 1
+    S = _sp.csc_matrix((A.data, rank[flat], A.indptr[::alpha]),
+                       shape=(pos.size, k))
+    indptr = np.searchsorted(pos, np.arange(alpha + 1) * rows).astype(idx)
+    indices = (pos % rows).astype(idx)
+    return S, _freeze(indices), _freeze(indptr), (rows, alpha)
+
+
+def _combine(union, g: np.ndarray) -> _sp.csc_matrix:
+    """The sum of the overlaid blocks weighted by g, exact zeros dropped.
+
+    The shared index arrays are never written: a block with exact zeros
+    gets compressed arrays of its own, as the sparse product drops them.
+    """
+    S, indices, indptr, shape = union
+    vals = S @ g
+    if not vals.all():
+        keep = vals != 0
+        vals, indices = vals[keep], indices[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(
+            indptr.dtype)
+    return _sp.csc_matrix((vals, indices, indptr), shape=shape)
+
+
 def iter_encoded_blocks(P: PartitionedMatrix, plan: CodingPlan):
     """Yield (worker, coded block) lazily; holds one coded block at a time.
 
-    For sparse input the whole combination is one sparse product
-    A @ kron(g^T, I_alpha) with A the partitioned matrix itself, so cost
-    scales with the nnz of the supported blocks only.  Dense input sums
-    ``c * A_q`` over the support, in support order.
+    Sparse input takes one of two routes, chosen by support width.  A spec
+    whose support covers all k_bar blocks (dense, poly, and proposed at
+    s_bar = k_bar - 1) has the union of the k_bar block patterns as its
+    pattern, so the first such spec builds the overlay of the blocks on
+    that union (``_overlay``) and every one of them is one matvec S @ g
+    over it (``_combine``).  The sums run in block order from 0.0, as in
+    the product below, so values are bit-identical, and blocks without
+    exact zeros share the union's read-only index arrays.  A narrower
+    support is one sparse product A @ kron(g^T, I_alpha) with A the
+    partitioned matrix itself, whose cost scales with the nnz of the
+    supported blocks only; the overlay would cost the nnz of all k_bar.
+    Dense input sums ``c * A_q`` over the support, in support order.
     """
     if P.k != plan.k_bar:
         raise PlanError(f"partition has {P.k} blocks, plan expects {plan.k_bar}")
     alpha = P.alpha
     if P.kind == "sparse":
+        A = P.matrix.m
         eye = _sp.identity(alpha, format="csc")
+        union = None
         for spec in plan.specs:
-            row = _sp.csc_matrix(
-                (spec.coeffs, (list(spec.support), [0] * len(spec.support))),
-                shape=(plan.k_bar, 1))
-            yield spec.worker, SparseMatrix._wrap(
-                P.matrix.m @ _sp.kron(row, eye, format="csc"))
+            # no block outlives its yield here: the caller may drop it
+            if len(spec.support) == plan.k_bar:
+                if union is None:
+                    union = _overlay(A, plan.k_bar, alpha)
+                g = np.bincount(spec.support, weights=spec.coeffs,
+                                minlength=plan.k_bar)
+                yield spec.worker, SparseMatrix._wrap(_combine(union, g))
+            else:
+                row = _sp.csc_matrix(
+                    (spec.coeffs, (list(spec.support), [0] * len(spec.support))),
+                    shape=(plan.k_bar, 1))
+                yield spec.worker, SparseMatrix._wrap(
+                    A @ _sp.kron(row, eye, format="csc"))
     else:
         a = P.matrix.a
         for spec in plan.specs:

@@ -67,7 +67,7 @@ from .matrices import ShapeError
 
 DECODE_TOL = 1e-8       # row-wise relative residual bound
 PIVOT_REL_TOL = 1e-10   # pivot below this times the matrix scale is zero
-SUBSET_GUARD = 10 ** 6  # most subsets or straggler sets enumerated in full
+SUBSET_GUARD = 10 ** 6  # most subsets or straggler sets enumerated or drawn
 RANK_CHUNK = 2048       # matrices per stacked SVD: 12.8 MB at 28x28
 RANK_MARGIN = 1e-3      # bound below RANK_MARGIN / (k_bar eps) settles rank
 BOUND_SLACK = 1e-2      # relative slack when a bound is compared to the max
@@ -327,9 +327,14 @@ def check_all_subsets(plan: CodingPlan, sample: int | None = None,
     so the two can cross-check each other.  A null-space bound settles most
     subsets first; the rest stream through in chunks of RANK_CHUNK, one
     stacked SVD each, with the verdicts and conds of ranking every subset.
+    An exhaustive survey and a sample alike stop at SUBSET_GUARD subsets.
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
+    if sample is not None and sample > SUBSET_GUARD:
+        # the two passes hold a float and a flag per drawn subset
+        raise SubsetGuardError(
+            f"sample of {sample} subsets exceeds the guard ({SUBSET_GUARD})")
     G = plan.coefficient_matrix()
     n_bar, k_bar = G.shape
     total = math.comb(n_bar, k_bar)

@@ -3,7 +3,9 @@
 Every matrix in this package is one of two immutable wrapper types:
 ``DenseMatrix`` (a C-ordered float64 array) or ``SparseMatrix`` (CSC
 storage without duplicate coordinates; the constructor also sorts indices
-and drops zeros, arithmetic results keep their kernel's index order).
+and drops zeros; arithmetic results keep their kernel's index order, sorted
+from the overlay that encodes full-support coded blocks but unspecified in
+general).
 Both expose the same small surface: ``matvec_t`` (the transpose product
 M^T x), ``nnz``, ``column_slice`` and ``to_dense``.
 ``PartitionedMatrix`` views a matrix as k equal block-columns, the unit of
@@ -111,9 +113,11 @@ class SparseMatrix:
     @classmethod
     def _wrap(cls, m: _sp.csc_matrix) -> "SparseMatrix":
         # Arithmetic results carry no duplicate coordinates, so they are
-        # frozen as the scipy kernel produced them: sorting the indices would
-        # cost as much as the product itself, and nothing here needs the
-        # order (SpMV, toarray, nnz and mmwrite take any).  Probability-zero
+        # frozen as the kernel produced them: sorting the indices would cost
+        # as much as the product itself, and nothing here needs the order
+        # (SpMV, toarray, nnz and mmwrite take any).  The overlay route of
+        # coding.iter_encoded_blocks yields sorted indices, a sparse product
+        # need not, so callers may assume no order.  Probability-zero
         # cancellations are not hunted down either.
         out = object.__new__(cls)
         out.m = _freeze_csc(m.tocsc())

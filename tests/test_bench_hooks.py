@@ -6,6 +6,7 @@ keep resolving, or the benchmark fails before it measures anything."""
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codedfl import cli, decoding, matrices
+from codedfl import cli, coding, decoding, matrices
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -30,6 +31,12 @@ def traced_names():
                          ids=lambda v: v)
 def test_traced_function_resolves(layer, name):
     assert callable(getattr(importlib.import_module(f"codedfl.{layer}"), name))
+
+
+def test_iter_encoded_blocks_is_a_generator_function():
+    # the tracer charges one span per next() of a generator function, which
+    # is what splits coding.iter_encoded_blocks.busy_s by scheme per block
+    assert inspect.isgeneratorfunction(coding.iter_encoded_blocks)
 
 
 @pytest.mark.parametrize("cls", [matrices.DenseMatrix, matrices.SparseMatrix])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
 from codedfl import coding as cd
 from codedfl import matrices as mx
@@ -398,6 +399,59 @@ def test_iter_encoded_blocks_streams_all_workers():
     for w, blk in seen.items():
         np.testing.assert_allclose(blk.to_dense(), wl.coded[w].to_dense(),
                                    atol=1e-12)
+
+
+def spgemm_reference(P, spec, k_bar):
+    # the narrow-support route, A @ kron(g^T, I_alpha), for any support
+    row = sp.csc_matrix(
+        (spec.coeffs, (list(spec.support), [0] * len(spec.support))),
+        shape=(k_bar, 1))
+    return P.matrix.m @ sp.kron(row, sp.identity(P.alpha, format="csc"),
+                                format="csc")
+
+
+@pytest.mark.parametrize("density", [0.01, 0.1, 0.6])
+@pytest.mark.parametrize("scheme, passives, full", [
+    ("dense", 2, True), ("poly", 2, True), ("proposed", 5, True),
+    ("proposed", 2, False)])
+def test_encoded_blocks_equal_the_sparse_product(scheme, passives, full,
+                                                 density):
+    # full supports (dense, poly, proposed at s_bar = k_bar - 1) are summed
+    # over the blocks' overlay, narrower ones by the product itself: both in
+    # block order from 0.0, so values are bit-identical and nnz equal
+    P = mx.partition_uniform(mx.random_sparse(40, 36, density, rng(30)), 6)
+    plan = cd.build_plan(scheme, cd.make_roster([1] * 6, [1] * passives),
+                         seed=31)
+    for w, blk in cd.iter_encoded_blocks(P, plan):
+        spec = plan.specs[w]
+        assert (len(spec.support) == plan.k_bar) == full
+        want = spgemm_reference(P, spec, plan.k_bar)
+        np.testing.assert_array_equal(blk.to_dense(), want.toarray())
+        assert blk.nnz() == want.nnz
+
+
+def test_encoded_cancellation_is_not_stored():
+    # blocks 0 and 1 are equal, so worker 0's (1, -1, 0.5) cancels them
+    # exactly: only block 2's cells stay stored, as in the sparse product
+    B = mx.random_sparse(30, 4, 0.3, rng(32)).to_dense()
+    C = mx.random_sparse(30, 4, 0.3, rng(33)).to_dense()
+    P = mx.partition_uniform(mx.SparseMatrix(np.hstack([B, B, C])), 3)
+    specs = (cd.CodedBlockSpec(0, 0, (0, 1, 2), (1.0, -1.0, 0.5), "cancel"),
+             cd.CodedBlockSpec(1, 1, (2, 0, 1), (0.25, 1.0, 2.0), "mix"),
+             cd.CodedBlockSpec(2, 2, (0, 1, 2), (-1.5, 0.75, 1.0), "mix"))
+    plan = cd.CodingPlan("dense", 3, 0, specs, ())
+    coded = cd.encode(P, plan).coded
+    assert coded[0].nnz() == np.count_nonzero(C) < np.count_nonzero(B + C)
+    np.testing.assert_array_equal(coded[0].to_dense(), 0.5 * C)
+    for spec, blk in zip(specs, coded):
+        want = spgemm_reference(P, spec, 3)
+        np.testing.assert_array_equal(blk.to_dense(), want.toarray())
+        assert blk.nnz() == want.nnz
+    # the other workers keep the union's pattern in shared index arrays,
+    # which the compressed block does not touch
+    assert coded[1].nnz() == coded[2].nnz() == np.count_nonzero(B + C)
+    assert np.shares_memory(coded[1].m.indices, coded[2].m.indices)
+    assert not np.shares_memory(coded[0].m.indices, coded[1].m.indices)
 
 
 def test_baseline_dense_pattern_union_and_rank():

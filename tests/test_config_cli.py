@@ -294,6 +294,15 @@ def test_verify_subset_guard_is_exit_2(tmp_path, capsys):
     assert "--sample" in err
 
 
+def test_verify_sample_guard_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, example_doc(tmp_path / "out",
+                                             schemes=["proposed"]))
+    assert cli.main(["verify", "--config", cfg, "--sample", "1000001"]) == 2
+    assert ("sample of 1000001 subsets exceeds the guard (1000000)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "resilience.json").exists()
+
+
 def test_verify_sampled_mode(tmp_path):
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",
                                              schemes=["proposed"]))

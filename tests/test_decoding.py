@@ -702,6 +702,22 @@ def test_certify_matches_only_rank_failures():
     assert not cert.ok
 
 
+def test_sample_above_the_guard_is_refused_before_any_draw(monkeypatch):
+    # the survey holds a float and a flag per drawn subset, so a sample is
+    # bounded like an exhaustive survey
+    plan = cd.build_homogeneous_plan(6, 2, seed=3)
+    with pytest.raises(dec.SubsetGuardError, match="exceeds the guard"):
+        dec.check_all_subsets(plan, sample=dec.SUBSET_GUARD + 1)
+
+    def no_draws(*args):
+        raise AssertionError("drew subsets past the guard")
+    monkeypatch.setattr(dec, "SUBSET_GUARD", 40)
+    assert dec.check_all_subsets(plan, sample=40).subsets_checked == 40
+    monkeypatch.setattr(dec, "iter_subsets", no_draws)
+    with pytest.raises(dec.SubsetGuardError, match="sample of 41 subsets"):
+        dec.check_all_subsets(plan, sample=41)
+
+
 def test_check_all_subsets_rejects_negative_sample():
     with pytest.raises(ValueError, match="sample must be >= 0"):
         dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),

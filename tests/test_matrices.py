@@ -128,12 +128,20 @@ def test_dense_is_immutable():
 
 
 def test_sparse_is_immutable():
-    # constructed and arithmetic-result storage alike is read-only
+    # constructed and arithmetic-result storage alike is read-only: encoded
+    # full-support blocks share the union's index arrays, a narrower support
+    # or a cancelled cell gives a block arrays of its own
     S = mx.random_sparse(30, 12, 0.3, rng(23))
     P = mx.partition_uniform(S, 3)
-    plan = cd.build_dense_plan(cd.make_roster([1] * 3, [1]), seed=24)
-    coded = cd.encode(P, plan).coded[0]
-    cases = [S, P.block(1), coded]
+    roster = cd.make_roster([1] * 3, [1])
+    dense = cd.encode(P, cd.build_dense_plan(roster, seed=24)).coded
+    coded = dense[0]
+    narrow = cd.encode(P, cd.build_plan("proposed", roster, seed=24)).coded[0]
+    twins = mx.partition_uniform(mx.SparseMatrix(sp.hstack(
+        [P.block(0).m, P.block(0).m, P.block(1).m])), 3)
+    spec = cd.CodedBlockSpec(0, 0, (0, 1, 2), (1.0, -1.0, 0.5), "cancel")
+    cancelled = cd.encode(twins, cd.CodingPlan("dense", 3, 0, (spec,), ()))
+    cases = [S, P.block(1), *dense, narrow, cancelled.coded[0]]
     for M in cases:
         for part in (M.m.data, M.m.indices, M.m.indptr):
             with pytest.raises(ValueError):
