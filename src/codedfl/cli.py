@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 diverging descent, 2 configuration error (a bad
 config or stored plan; nothing is written), 3 verification failure, 4
 decode failure where success was required.  All CSV output is written
 with repr-formatted numbers and no timestamps, so a rerun with the same
-config and seed reproduces the files byte for byte; the one exception is
-benchmark_times.csv, which holds measured wall-clock medians and is
-documented as non-deterministic.
+config, seed, numpy, scipy and BLAS thread count reproduces the files
+byte for byte.  Two files are not deterministic: benchmark_times.csv
+holds measured wall-clock medians, and manifest.json its creation time.
 """
 
 from __future__ import annotations
@@ -245,8 +245,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     outputs = []
 
     plans = {s: cd.build_plan(s, cfg.roster, cfg.seed) for s in cfg.schemes}
-    # every builder takes k_bar from the active clients
-    k_bar = plans[cfg.schemes[0]].k_bar
+    k_bar, _, _ = cd.expand_heterogeneous(cfg.roster)
 
     workload_by_scheme = {}
     x = None
@@ -269,7 +268,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
         round_rows += rows
         exposure = sim.privacy_report(plan, cfg.roster)
         for c in cfg.roster.clients:
-            e = exposure.of(c.id)
+            e = exposure[c.id]
             privacy_rows.append([s, c.id, c.role, c.type_index, c.multiplier,
                                  e.raw_fraction, e.coded_support_fraction])
 
@@ -364,7 +363,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--scale", type=int,
                    help="divide matrix rows by this factor (overrides config)")
-    p.add_argument("--scheme", choices=["proposed", "dense", "poly", "uncoded"],
+    p.add_argument("--scheme", choices=cd.SCHEMES,
                    help="single scheme to run (overrides config)")
 
 

@@ -156,11 +156,21 @@ class Transfer:
 
 @dataclass(frozen=True)
 class CodingPlan:
-    scheme: str                # "proposed" | "dense" | "poly" | "uncoded"
+    """A scheme's coded blocks and transfers; specs[w] is worker w's spec."""
+    scheme: str                # one of SCHEMES
     k_bar: int
     s_bar: int
-    specs: tuple[CodedBlockSpec, ...]
+    specs: tuple[CodedBlockSpec, ...]   # indexed by worker
     transfers: tuple[Transfer, ...]
+
+    def __post_init__(self):
+        if self.k_bar < 1 or self.s_bar < 0:
+            raise PlanError(f"need k_bar >= 1 and s_bar >= 0, got "
+                            f"k_bar={self.k_bar}, s_bar={self.s_bar}")
+        for w, s in enumerate(self.specs):
+            if s.worker != w:
+                raise PlanError(f"spec {w} is for worker {s.worker}; "
+                                "worker indices must cover 0..n_bar-1")
 
     @property
     def n_bar(self) -> int:
@@ -289,6 +299,9 @@ def build_uncoded_plan(roster: ClientRoster) -> CodingPlan:
     specs = tuple(CodedBlockSpec(i, owner[i], (i,), (1.0,), "unit")
                   for i in range(k_bar))
     return CodingPlan("uncoded", k_bar, 0, specs, ())
+
+
+SCHEMES = ("proposed", "dense", "poly", "uncoded")
 
 
 def build_plan(scheme: str, roster: ClientRoster, seed: int = 0) -> CodingPlan:
@@ -475,8 +488,10 @@ def plan_to_dict(plan: CodingPlan, roster: ClientRoster) -> dict:
 def plan_from_dict(d: dict):
     """Parse and structurally validate a stored plan; returns (plan, roster).
 
-    Validation is structural only (shapes, index ranges); rank properties
-    are the verifier's job, so a tampered-but-well-formed plan loads fine.
+    Stored workers may come in any order; the plan's specs are sorted by
+    worker.  Validation is structural only (shapes, index ranges); rank
+    properties are the verifier's job, so a tampered-but-well-formed plan
+    loads fine.
     """
     if not isinstance(d, dict):
         raise PlanError("malformed plan: top level must be an object")
@@ -488,12 +503,12 @@ def plan_from_dict(d: dict):
     try:
         scheme = str(d["scheme"])
         k_bar, s_bar = int(d["k_bar"]), int(d["s_bar"])
-        specs = tuple(
+        specs = tuple(sorted((
             CodedBlockSpec(int(w["worker"]), int(w["owner"]),
                            tuple(int(q) for q in w["support"]),
                            tuple(float(v) for v in w["coeffs"]),
                            str(w.get("seed_tag", "")))
-            for w in d["workers"])
+            for w in d["workers"]), key=lambda s: s.worker))
         transfers = tuple(
             Transfer(int(t["src"]), int(t["dst"]), str(t["kind"]), int(t["payload"]))
             for t in d["transfers"])
@@ -509,8 +524,6 @@ def plan_from_dict(d: dict):
             raise PlanError(f"worker {s.worker}: block index out of range")
         if not 0 <= s.owner_client < n_clients:
             raise PlanError(f"worker {s.worker}: unknown owner {s.owner_client}")
-    if sorted(s.worker for s in specs) != list(range(k_bar + s_bar)):
-        raise PlanError("worker indices must cover 0..n_bar-1")
     for t in transfers:
         if t.kind not in ("raw", "coded"):
             raise PlanError(f"unknown transfer kind {t.kind!r}")
@@ -519,5 +532,4 @@ def plan_from_dict(d: dict):
             raise PlanError(f"transfer payload {t.payload} out of range")
         if not (0 <= t.src < n_clients and 0 <= t.dst < n_clients):
             raise PlanError(f"transfer endpoints ({t.src}, {t.dst}) out of range")
-    plan = CodingPlan(scheme, k_bar, s_bar, specs, transfers)
-    return plan, roster
+    return CodingPlan(scheme, k_bar, s_bar, specs, transfers), roster

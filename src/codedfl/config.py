@@ -15,10 +15,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .coding import ClientRoster, RosterError, make_roster
+from .coding import (SCHEMES, ClientRoster, RosterError, expand_heterogeneous,
+                     make_roster)
 from .simulate import CommModel, SimConfigError, TimingModel
-
-SCHEMES = ("proposed", "dense", "poly", "uncoded")
 
 
 class ConfigError(ValueError):
@@ -227,7 +226,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
                     for i, s in enumerate(lst))
     _expect("roster" in doc, "roster", "required")
     roster = _parse_roster(doc["roster"])
-    k_bar = sum(c.multiplier for c in roster.actives())
+    k_bar, _, _ = expand_heterogeneous(roster)
     matrix = _parse_matrix(doc["matrix"], k_bar) if "matrix" in doc else None
     scale = _as_int(doc.get("scale", 10), "scale", lo=1)
     timing = _parse_timing(doc.get("timing", {}), roster.n_clients)

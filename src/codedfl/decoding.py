@@ -327,10 +327,11 @@ def check_all_subsets(plan: CodingPlan, sample: int | None = None,
     so the two can cross-check each other.  A null-space bound settles most
     subsets first; the rest stream through in chunks of RANK_CHUNK, one
     stacked SVD each, with the verdicts and conds of ranking every subset.
-    An exhaustive survey and a sample alike stop at SUBSET_GUARD subsets.
+    An exhaustive survey and a sample alike stop at SUBSET_GUARD subsets; a
+    sample checks at least one, so no report is vacuous.
     """
-    if sample is not None and sample < 0:
-        raise ValueError(f"sample must be >= 0, got {sample}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     if sample is not None and sample > SUBSET_GUARD:
         # the two passes hold a float and a flag per drawn subset
         raise SubsetGuardError(
@@ -409,8 +410,7 @@ def check_hall_condition(plan: CodingPlan, subset) -> MatchingResult:
     subset = tuple(subset)
     if len(subset) != plan.k_bar:
         raise ValueError(f"subset size {len(subset)} != k_bar {plan.k_bar}")
-    specs = {s.worker: s for s in plan.specs}
-    adjacency = [sorted(specs[w].support) for w in subset]
+    adjacency = [sorted(plan.specs[w].support) for w in subset]
     match = maximum_bipartite_matching(adjacency, plan.k_bar)
     pairs = tuple((w, j) for w, j in zip(subset, match) if j != -1)
     return MatchingResult(len(pairs) == plan.k_bar, pairs)
@@ -418,11 +418,7 @@ def check_hall_condition(plan: CodingPlan, subset) -> MatchingResult:
 
 def measured_neighborhood(plan: CodingPlan, workers) -> int:
     """Count distinct unknowns touched by the given workers' supports."""
-    specs = {s.worker: s for s in plan.specs}
-    seen = set()
-    for w in workers:
-        seen.update(specs[w].support)
-    return len(seen)
+    return len({q for w in workers for q in plan.specs[w].support})
 
 
 def neighborhood_lower_bound(k_bar: int, s_bar: int, m: int) -> int:

@@ -75,17 +75,6 @@ class ClientExposure:
 
 
 @dataclass(frozen=True)
-class PrivacyExposure:
-    per_client: tuple[ClientExposure, ...]
-
-    def of(self, client: int) -> ClientExposure:
-        for e in self.per_client:
-            if e.client == client:
-                return e
-        raise KeyError(f"no client {client}")
-
-
-@dataclass(frozen=True)
 class SimReport:
     scheme: str
     raw_block_transfers: int
@@ -107,8 +96,9 @@ class SimReport:
         return self.decoded.residual if self.decoded is not None else None
 
 
-def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
-    """Exact per-client exposure fractions, in units of 1/k_bar.
+def privacy_report(plan: CodingPlan,
+                   roster: ClientRoster) -> dict[int, ClientExposure]:
+    """Exact exposure fractions by client id, in units of 1/k_bar.
 
     raw_fraction counts block-columns a client holds uncoded: its own plus
     raw blocks received over D2D.  coded_support_fraction adds the supports
@@ -116,20 +106,18 @@ def privacy_report(plan: CodingPlan, roster: ClientRoster) -> PrivacyExposure:
     about, not the columns it can read.
     """
     k_bar = plan.k_bar
-    specs = {s.worker: s for s in plan.specs}
     raw: dict[int, set] = {c.id: set() for c in roster.clients}
     coded: dict[int, set] = {c.id: set() for c in roster.clients}
     for q in range(k_bar):
-        raw[specs[q].owner_client].add(q)
+        raw[plan.specs[q].owner_client].add(q)
     for t in plan.transfers:
         if t.kind == "raw":
             raw[t.dst].add(t.payload)
         else:
-            coded[t.dst].update(specs[t.payload].support)
-    return PrivacyExposure(tuple(
-        ClientExposure(c.id, Fraction(len(raw[c.id]), k_bar),
-                       Fraction(len(raw[c.id] | coded[c.id]), k_bar))
-        for c in roster.clients))
+            coded[t.dst].update(plan.specs[t.payload].support)
+    return {c.id: ClientExposure(c.id, Fraction(len(raw[c.id]), k_bar),
+                                 Fraction(len(raw[c.id] | coded[c.id]), k_bar))
+            for c in roster.clients}
 
 
 def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,

@@ -232,11 +232,11 @@ def test_criterion_6_privacy_fractions():
     exposure = sim.privacy_report(plan, roster)
     want = {0: Fraction(4, 7), 1: Fraction(4, 7), 2: Fraction(3, 7),
             3: Fraction(3, 7), 4: Fraction(3, 7)}
-    got = {c: exposure.of(c).raw_fraction for c in want}
+    got = {c: exposure[c].raw_fraction for c in want}
 
     dense = cd.build_dense_plan(roster, seed=5)
     dense_exposure = sim.privacy_report(dense, roster)
-    dense_full = all(dense_exposure.of(c.id).coded_support_fraction
+    dense_full = all(dense_exposure[c.id].coded_support_fraction
                      == Fraction(1) for c in roster.clients)
 
     ok = got == want and dense_full

@@ -523,6 +523,32 @@ def test_plan_from_dict_rejects_malformed():
         cd.plan_from_dict(bad)
 
 
+def test_plan_is_indexed_by_worker():
+    roster = cd.make_roster([1, 1, 1], [1])
+    plan = cd.build_heterogeneous_plan(roster, seed=0)
+    assert [s.worker for s in plan.specs] == list(range(plan.n_bar))
+    for k_bar, s_bar, specs, msg in [
+            (3, 1, plan.specs[::-1], "spec 0 is for worker 3"),
+            (0, 0, (), "k_bar >= 1"),
+            (3, -1, plan.specs[:2], "s_bar >= 0")]:
+        with pytest.raises(cd.PlanError, match=msg):
+            cd.CodingPlan("proposed", k_bar, s_bar, specs, ())
+
+
+def test_plan_from_dict_takes_workers_in_any_order():
+    roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
+    plan = cd.build_heterogeneous_plan(roster, seed=4)
+    d = cd.plan_to_dict(plan, roster)
+    d["workers"].reverse()
+    plan2, _ = cd.plan_from_dict(d)
+    assert all(plan2.specs[w].worker == w for w in range(plan2.n_bar))
+    assert plan2 == plan
+    # a repeated worker leaves another one out
+    d["workers"][0]["worker"] = 0
+    with pytest.raises(cd.PlanError, match="must cover 0..n_bar-1"):
+        cd.plan_from_dict(d)
+
+
 def test_plan_from_dict_accepts_tampered_coeffs():
     # duplicated coefficient rows are structurally valid; the verifier is
     # the layer that must flag them

@@ -625,8 +625,15 @@ def _without(key):
      or d, "multipliers must be positive"),
     (lambda d: d["roster"]["clients"].reverse() or d,
      "stored clients differ"),
+    # seven blocks, workers 0-5: it used to print "subsets: 0/0 full rank"
+    # and exit 0
+    (lambda d: d.update(s_bar=-1, workers=d["workers"][:6], transfers=[
+        t for t in d["transfers"] if t["kind"] == "raw"]) or d, "s_bar=-1"),
+    # no blocks at all: it used to die with an IndexError
+    (lambda d: d.update(k_bar=0, s_bar=0, workers=[], transfers=[]) or d,
+     "k_bar=0"),
 ], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
-        "reordered-clients"])
+        "reordered-clients", "negative-s_bar", "zero-k_bar"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
     # exit 1 is a diverging descent; a bad plan file is a config error
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",
@@ -640,6 +647,20 @@ def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
                      "--out", str(tmp_path / "v")]) == 2
     assert msg in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+def test_verify_stored_plan_with_workers_reversed(tmp_path):
+    roster = cd.make_roster([1] * 6, [1] * 2)
+    doc = cd.plan_to_dict(cd.build_heterogeneous_plan(roster, seed=0), roster)
+    outputs = []
+    for name in ("in-order", "reversed"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert cli.main(["verify", "--plan", str(path), "--out", str(out)]) == 0
+        outputs.append((out / "resilience.json").read_bytes())
+        doc["workers"].reverse()
+    assert outputs[0] == outputs[1]
 
 
 def test_failed_client_without_client_is_config_error(tmp_path, capsys):

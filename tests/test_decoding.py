@@ -392,8 +392,12 @@ def test_resilience_report_roundtrips_to_dict():
     assert d["worst_subset"] == list(report.worst_subset)
     assert d["subsets_ranked"] == report.subsets_ranked
     assert "min_cond" not in d
-    assert dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),
-                                 sample=0).to_dict()["worst_subset"] is None
+    # with no full-rank subset there is no worst one
+    twins = cd.CodingPlan("dense", 2, 1, tuple(
+        cd.CodedBlockSpec(w, w, (0, 1), (1.0, 1.0), "twin") for w in range(3)),
+        ())
+    d = dec.check_all_subsets(twins).to_dict()
+    assert len(d["failures"]) == 3 and d["worst_subset"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +723,15 @@ def test_sample_above_the_guard_is_refused_before_any_draw(monkeypatch):
 
 
 def test_check_all_subsets_rejects_negative_sample():
-    with pytest.raises(ValueError, match="sample must be >= 0"):
+    with pytest.raises(ValueError, match="sample must be >= 1"):
         dec.check_all_subsets(cd.build_homogeneous_plan(6, 2, seed=3),
                               sample=-3)
+
+
+def test_certify_rejects_an_empty_sample():
+    # a sample of no subsets would certify a plan without checking it
+    with pytest.raises(ValueError, match="sample must be >= 1, got 0"):
+        dec.certify(*readme_plan(), sample=0)
 
 
 def test_certify_rejects_negative_max_stragglers():

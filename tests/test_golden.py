@@ -1,0 +1,81 @@
+"""Byte-identical reruns, pinned: the sha256 of every deterministic file
+that the benchmark's toy configs and the README config write, and the exit
+code of every command, as committed in golden.json.
+
+Every command runs in-process through ``cli.main``.  A change that means
+to change outputs regenerates the file with
+``PYTHONPATH=src python tests/test_golden.py`` and names each file that
+moved.
+"""
+
+import hashlib
+import importlib.util
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from codedfl import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+TOY_SEEDS = (0, 3, 7)
+README_SEEDS = (1, 2, 7)
+# measured wall-clock medians, and a creation time
+NOT_DETERMINISTIC = {"benchmark_times.csv", "manifest.json"}
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod    # its dataclasses look the module up
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+def _cases(tmp: Path):
+    """Yield (case name, out dir, argv lists), every config written to tmp."""
+    for name, wl in _bench_workloads().items():
+        for seed in TOY_SEEDS:
+            case = f"{name}/seed={seed}"
+            paths = {}
+            for role, doc in wl.configs(seed, True).items():
+                paths[role] = tmp / f"{name}-{seed}-{role}.json"
+                paths[role].write_text(json.dumps(doc))
+            out = tmp / case
+            yield case, out, [cmd if "--out" in cmd else cmd + ["--out", str(out)]
+                              for cmd in wl.commands(paths, out)]
+    readme = (ROOT / "README.md").read_text()
+    cfg = tmp / "readme.json"
+    cfg.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    for seed in README_SEEDS:
+        case = f"readme/seed={seed}"
+        out = tmp / case
+        common = ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+        yield case, out, [["plan", *common], ["verify", *common],
+                          ["simulate", *common, "--require-decode"],
+                          ["fl-demo", *common, "--check"]]
+
+
+def digests(tmp: Path) -> dict:
+    """{case: {"exit_codes": [...], "files": {name: sha256}}}."""
+    result = {}
+    for case, out, commands in _cases(tmp):
+        codes = [cli.main(cmd) for cmd in commands]
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in sorted(out.iterdir())
+                 if p.name not in NOT_DETERMINISTIC}
+        result[case] = {"exit_codes": codes, "files": files}
+    return result
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    assert digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as d:
+        doc = digests(Path(d))
+    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

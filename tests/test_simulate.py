@@ -225,12 +225,12 @@ def test_privacy_example2_exact_fractions():
     want = {0: Fraction(4, 7), 1: Fraction(4, 7), 2: Fraction(3, 7),
             3: Fraction(3, 7), 4: Fraction(3, 7)}
     for cid, frac in want.items():
-        assert exp.of(cid).raw_fraction == frac
+        assert exp[cid].raw_fraction == frac
     # passive clients hold no raw data at all
-    assert exp.of(5).raw_fraction == 0
-    assert exp.of(6).raw_fraction == 0
-    assert exp.of(5).coded_support_fraction == Fraction(3, 7)
-    assert exp.of(6).coded_support_fraction == Fraction(3, 7)
+    assert exp[5].raw_fraction == 0
+    assert exp[6].raw_fraction == 0
+    assert exp[5].coded_support_fraction == Fraction(3, 7)
+    assert exp[6].coded_support_fraction == Fraction(3, 7)
 
 
 def test_privacy_homogeneous_fraction():
@@ -238,14 +238,14 @@ def test_privacy_homogeneous_fraction():
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     exp = sim.privacy_report(plan, roster)
     for c in roster.actives():
-        assert exp.of(c.id).raw_fraction == Fraction(3, 10)
+        assert exp[c.id].raw_fraction == Fraction(3, 10)
 
 
 def test_privacy_dense_baseline_total_exposure():
     roster, _ = example2()
     plan = cd.build_dense_plan(roster, seed=0)
     exp = sim.privacy_report(plan, roster)
-    for e in exp.per_client:
+    for e in exp.values():
         assert e.coded_support_fraction == 1
         assert e.raw_fraction == 1
 
@@ -260,7 +260,7 @@ def test_privacy_dominance_bound():
         for c in roster.clients:
             own = sum(cc.multiplier for cc in roster.actives() if cc.id == c.id)
             bound = Fraction(own + plan.s_bar, plan.k_bar)
-            e = exp.of(c.id)
+            e = exp[c.id]
             assert e.raw_fraction <= bound
             assert e.raw_fraction <= e.coded_support_fraction
             if plan.k_bar > plan.s_bar + 1:
@@ -271,7 +271,7 @@ def test_privacy_uncoded_plan_sees_only_own_blocks():
     roster = cd.make_roster([1] * 5, [1])
     exp = sim.privacy_report(cd.build_uncoded_plan(roster), roster)
     for c in roster.actives():
-        assert exp.of(c.id).raw_fraction == Fraction(1, 5)
+        assert exp[c.id].raw_fraction == Fraction(1, 5)
 
 
 # ---------------------------------------------------------------------------
