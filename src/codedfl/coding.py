@@ -17,13 +17,15 @@ the same plan and workload types so downstream analysis is scheme-blind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
-from scipy import sparse as _sp
 
 from .matrices import (DenseMatrix, Matrix, PartitionedMatrix, SparseMatrix,
                        _freeze)
+
+if TYPE_CHECKING:
+    from scipy import sparse as _sp
 
 
 class RosterError(ValueError):
@@ -164,6 +166,9 @@ class CodingPlan:
     transfers: tuple[Transfer, ...]
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise PlanError(f"unknown scheme {self.scheme!r}; expected one of "
+                            f"{', '.join(SCHEMES)}")
         if self.k_bar < 1 or self.s_bar < 0:
             raise PlanError(f"need k_bar >= 1 and s_bar >= 0, got "
                             f"k_bar={self.k_bar}, s_bar={self.s_bar}")
@@ -280,6 +285,8 @@ def build_poly_plan(roster: ClientRoster) -> CodingPlan:
     chosen for conditioning: monomials at the points 0..n_bar-1 make every
     k_bar=28 subset singular to working precision (cond near 1e40).
     """
+    from numpy.polynomial.chebyshev import chebvander
+
     k_bar, s_bar, owner = expand_heterogeneous(roster)
     n_bar = k_bar + s_bar
     nodes = np.cos((2 * np.arange(n_bar) + 1) * np.pi / (2 * n_bar))
@@ -339,6 +346,8 @@ def _overlay(A: _sp.csc_matrix, k: int, alpha: int):
     union, and shares A's data; indices/indptr are the union's read-only
     CSC pattern as a block of that shape, row indices sorted.
     """
+    from scipy import sparse as _sp
+
     rows = A.shape[0]
     # flat cell (col mod alpha) * rows + row of every stored entry
     flat = np.repeat(np.arange(A.shape[1]) % alpha * rows, np.diff(A.indptr))
@@ -362,6 +371,8 @@ def _combine(union, g: np.ndarray) -> _sp.csc_matrix:
     The shared index arrays are never written: a block with exact zeros
     gets compressed arrays of its own, as the sparse product drops them.
     """
+    from scipy import sparse as _sp
+
     S, indices, indptr, shape = union
     vals = S @ g
     if not vals.all():
@@ -392,6 +403,8 @@ def iter_encoded_blocks(P: PartitionedMatrix, plan: CodingPlan):
         raise PlanError(f"partition has {P.k} blocks, plan expects {plan.k_bar}")
     alpha = P.alpha
     if P.kind == "sparse":
+        from scipy import sparse as _sp
+
         A = P.matrix.m
         eye = _sp.identity(alpha, format="csc")
         union = None

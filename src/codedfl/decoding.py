@@ -180,8 +180,9 @@ def decode(problem: DecodeProblem, rows=None) -> DecodeResult:
     G = np.array([r.coeff_row for r in chosen], dtype=np.float64)
     Y = np.array([r.product for r in chosen], dtype=np.float64)
 
-    # Imported here, not at module level: scipy.linalg costs about 7 MB and
-    # 0.07 s to import, and plan, verify and config loading never decode.
+    # Imported here, not at module level, as every scipy import in codedfl
+    # is: scipy.linalg costs about 7 MB and 0.1-0.3 s to import, and plan,
+    # verify and config loading never decode.
     from scipy.linalg import lapack
 
     # dgetrf, not lu_factor: an exactly singular G_S reaches the pivot test

@@ -632,8 +632,10 @@ def _without(key):
     # no blocks at all: it used to die with an IndexError
     (lambda d: d.update(k_bar=0, s_bar=0, workers=[], transfers=[]) or d,
      "k_bar=0"),
+    # it used to load, and resilience.json reported the scheme as given
+    (lambda d: d.update(scheme="quantum") or d, "unknown scheme 'quantum'"),
 ], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
-        "reordered-clients", "negative-s_bar", "zero-k_bar"])
+        "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
     # exit 1 is a diverging descent; a bad plan file is a config error
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",

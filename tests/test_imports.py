@@ -1,0 +1,68 @@
+"""Which scipy modules each command loads, counted in a fresh interpreter
+(pytest's own process holds scipy already).
+
+scipy is imported only where it is used: ``scipy.sparse`` and ``scipy.io``
+where a sparse matrix or a ``.mtx`` file is made, ``scipy.linalg`` in
+``decode``.  Planning and certifying load none of it, and a dense round
+loads no ``scipy.sparse``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from test_golden import ROOT, _bench_workloads
+
+# runs the commands, then prints the scipy modules loaded as its last line
+SCRIPT = """
+import json, sys
+from codedfl import cli
+config, commands = json.loads(sys.argv[1])
+cli.load_config(config)
+codes = [cli.main(argv) for argv in commands]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _run(config, commands):
+    """(exit codes, scipy modules loaded) of one fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps([str(config), commands])],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _certify_rounds(tmp_path):
+    """Paths of the toy certify-rounds configs, and its commands."""
+    wl = _bench_workloads()["certify-rounds"]
+    paths = {}
+    for role, doc in wl.configs(3, True).items():
+        paths[role] = tmp_path / f"{role}.json"
+        paths[role].write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    commands = [cmd if "--out" in cmd else cmd + ["--out", str(out)]
+                for cmd in wl.commands(paths, out)]
+    return paths, commands
+
+
+def test_import_and_load_config_load_no_scipy(tmp_path):
+    paths, _ = _certify_rounds(tmp_path)
+    assert _run(paths["simulate"], []) == [[], []]
+
+
+def test_plan_and_verify_load_no_scipy(tmp_path):
+    paths, commands = _certify_rounds(tmp_path)
+    assert [cmd[0] for cmd in commands[:2]] == ["plan", "verify"]
+    assert _run(paths["certify"], commands[:2]) == [[0, 0], []]
+
+
+def test_dense_rounds_load_no_scipy_sparse(tmp_path):
+    paths, commands = _certify_rounds(tmp_path)
+    assert [cmd[0] for cmd in commands[2:]] == ["simulate", "fl-demo"]
+    codes, modules = _run(paths["simulate"], commands[2:])
+    assert codes == [0, 0]
+    assert "scipy.linalg" in modules          # the rounds did decode
+    assert not [m for m in modules if m.startswith("scipy.sparse")]

@@ -121,6 +121,25 @@ def test_sparse_constructor_normalises():
     assert all(part.flags.writeable for part in (c.data, c.indices, c.indptr))
 
 
+@pytest.mark.parametrize("make", [sp.csr_matrix, sp.coo_matrix, sp.csc_matrix,
+                                  sp.csr_array])
+def test_as_matrix_wraps_scipy_sparse(make):
+    a = np.array([[0.0, 2.0, 0.0], [1.5, 0.0, -3.0]])
+    m = mx.as_matrix(make(a))
+    assert isinstance(m, mx.SparseMatrix)
+    np.testing.assert_array_equal(m.to_dense(), a)
+
+
+def test_as_matrix_wraps_ndarray_and_keeps_wrappers():
+    a = np.array([[0.0, 2.0, 0.0], [1.5, 0.0, -3.0]])
+    m = mx.as_matrix(a)
+    assert isinstance(m, mx.DenseMatrix)
+    np.testing.assert_array_equal(m.to_dense(), a)
+    assert mx.as_matrix(m) is m
+    s = mx.SparseMatrix(sp.csc_matrix(a))
+    assert mx.as_matrix(s) is s
+
+
 def test_dense_is_immutable():
     A = mx.random_dense(3, 3, rng(20))
     with pytest.raises(ValueError):
