@@ -5,8 +5,8 @@ config or stored plan; nothing is written), 3 verification failure, 4
 decode failure where success was required.  All CSV output is written
 with repr-formatted numbers and no timestamps, so a rerun with the same
 config, seed, numpy, scipy and BLAS thread count reproduces the files
-byte for byte.  Two files are not deterministic: benchmark_times.csv
-holds measured wall-clock medians, and manifest.json its creation time.
+byte for byte, except benchmark_times.csv (measured wall-clock medians)
+and manifest.json (its creation time, those versions and thread variables).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -67,6 +68,11 @@ def _write_manifest(out_dir: Path, cfg_hash: str, seed: int, outputs) -> None:
         "config_hash": cfg_hash,
         "seed": seed,
         "version": __version__,
+        "numpy": np.__version__,
+        # null unless this command loaded scipy; plan and verify never do
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+        "blas_env": {v: os.environ.get(v) for v in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "created": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(str(o) for o in outputs),
     }
@@ -101,14 +107,11 @@ def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
 def _allocation_lines(plan: cd.CodingPlan, roster: cd.ClientRoster) -> list:
     lines = [f"scheme={plan.scheme} k_bar={plan.k_bar} s_bar={plan.s_bar} "
              f"workers={plan.n_bar}"]
-    specs_by_client = {}
-    for s in plan.specs:
-        specs_by_client.setdefault(s.owner_client, []).append(s)
     for c in roster.clients:
         parts = []
-        for s in specs_by_client.get(c.id, []):
-            blocks = ",".join(f"A_{q}" for q in s.support)
-            parts.append(f"worker {s.worker} -> {{{blocks}}}")
+        for w in plan.workers_of(c.id):
+            blocks = ",".join(f"A_{q}" for q in plan.specs[w].support)
+            parts.append(f"worker {w} -> {{{blocks}}}")
         body = "; ".join(parts) if parts else "no workers"
         lines.append(f"W_{c.id} ({c.role}, type {c.type_index}, "
                      f"c={c.multiplier}): {body}")
@@ -213,6 +216,7 @@ def _simulate_rounds(cfg, plan, workload, x):
     # every trial shares x, so each product is computed once for all of
     # them; the memo holds the workload and must die with this call
     products = None if workload is None else dec.ProductMemo(workload, x)
+    raw, coded = len(plan.raw_transfers()), len(plan.coded_transfers())
     rows = []
     any_decode_failure = False
     for t in range(cfg.trials):
@@ -221,8 +225,7 @@ def _simulate_rounds(cfg, plan, workload, x):
                                  products=products)
         any_decode_failure |= not rep.decode_ok
         rows.append([
-            rep.scheme, t, plan.k_bar, plan.s_bar,
-            rep.raw_block_transfers, rep.coded_block_transfers,
+            plan.scheme, t, plan.k_bar, plan.s_bar, raw, coded,
             rep.total_bytes_d2d, rep.comm_delay, rep.completion_time,
             rep.decode_ok, rep.decode_residual, rep.decode_error or "",
             rep.failed_clients,
@@ -245,7 +248,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     outputs = []
 
     plans = {s: cd.build_plan(s, cfg.roster, cfg.seed) for s in cfg.schemes}
-    k_bar, _, _ = cd.expand_heterogeneous(cfg.roster)
+    k_bar = plans[cfg.schemes[0]].k_bar     # every scheme's, from the roster
 
     workload_by_scheme = {}
     x = None

@@ -17,6 +17,7 @@ the same plan and workload types so downstream analysis is scheme-blind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -176,17 +177,32 @@ class CodingPlan:
             if s.worker != w:
                 raise PlanError(f"spec {w} is for worker {s.worker}; "
                                 "worker indices must cover 0..n_bar-1")
+            if any(not 0 <= q < self.k_bar for q in s.support):
+                raise PlanError(f"worker {w}: block index out of range")
+            if len(set(s.support)) != len(s.support):
+                # G would keep one coefficient where encode sums them all
+                raise PlanError(f"worker {w}: support repeats a block")
 
     @property
     def n_bar(self) -> int:
         return len(self.specs)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """The n_bar x k_bar matrix G with row i supported on spec i."""
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The n_bar x k_bar matrix, row w on spec w; built once, read-only."""
         G = np.zeros((self.n_bar, self.k_bar))
         for s in self.specs:
             G[s.worker, list(s.support)] = s.coeffs
-        return G
+        return _freeze(G)
+
+    @cached_property
+    def _owned(self) -> dict[int, tuple[int, ...]]:
+        return {c: tuple(s.worker for s in self.specs if s.owner_client == c)
+                for c in {s.owner_client for s in self.specs}}
+
+    def workers_of(self, client: int) -> tuple[int, ...]:
+        """The workers a client runs, in worker order; () if it runs none."""
+        return self._owned.get(client, ())
 
     def raw_transfers(self) -> tuple[Transfer, ...]:
         return tuple(t for t in self.transfers if t.kind == "raw")
@@ -391,12 +407,13 @@ def iter_encoded_blocks(P: PartitionedMatrix, plan: CodingPlan):
     s_bar = k_bar - 1) has the union of the k_bar block patterns as its
     pattern, so the first such spec builds the overlay of the blocks on
     that union (``_overlay``) and every one of them is one matvec S @ g
-    over it (``_combine``).  The sums run in block order from 0.0, as in
-    the product below, so values are bit-identical, and blocks without
-    exact zeros share the union's read-only index arrays.  A narrower
-    support is one sparse product A @ kron(g^T, I_alpha) with A the
-    partitioned matrix itself, whose cost scales with the nnz of the
-    supported blocks only; the overlay would cost the nnz of all k_bar.
+    over it (``_combine``), g the worker's row of ``plan.G``.  The sums run
+    in block order from 0.0, as in the product below, so values are
+    bit-identical, and blocks without exact zeros share the union's
+    read-only index arrays.  A narrower support is one sparse product
+    A @ kron(g^T, I_alpha) with A the partitioned matrix itself, whose cost
+    scales with the nnz of the supported blocks only; the overlay would
+    cost the nnz of all k_bar.
     Dense input sums ``c * A_q`` over the support, in support order.
     """
     if P.k != plan.k_bar:
@@ -413,13 +430,10 @@ def iter_encoded_blocks(P: PartitionedMatrix, plan: CodingPlan):
             if len(spec.support) == plan.k_bar:
                 if union is None:
                     union = _overlay(A, plan.k_bar, alpha)
-                g = np.bincount(spec.support, weights=spec.coeffs,
-                                minlength=plan.k_bar)
-                yield spec.worker, SparseMatrix._wrap(_combine(union, g))
+                yield spec.worker, SparseMatrix._wrap(
+                    _combine(union, plan.G[spec.worker]))
             else:
-                row = _sp.csc_matrix(
-                    (spec.coeffs, (list(spec.support), [0] * len(spec.support))),
-                    shape=(plan.k_bar, 1))
+                row = _sp.csc_matrix(plan.G[spec.worker, :, None])
                 yield spec.worker, SparseMatrix._wrap(
                     A @ _sp.kron(row, eye, format="csc"))
     else:
@@ -436,9 +450,7 @@ def encode(P: PartitionedMatrix, plan: CodingPlan) -> EncodedWorkload:
     coded = [None] * plan.n_bar
     for w, blk in iter_encoded_blocks(P, plan):
         coded[w] = blk
-    G = plan.coefficient_matrix()
-    G.setflags(write=False)
-    return EncodedWorkload(tuple(coded), G, P.alpha)
+    return EncodedWorkload(tuple(coded), plan.G, P.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +545,6 @@ def plan_from_dict(d: dict):
     for s in specs:
         if len(s.support) != len(s.coeffs):
             raise PlanError(f"worker {s.worker}: support/coeff length mismatch")
-        if any(not 0 <= q < k_bar for q in s.support):
-            raise PlanError(f"worker {s.worker}: block index out of range")
         if not 0 <= s.owner_client < n_clients:
             raise PlanError(f"worker {s.worker}: unknown owner {s.owner_client}")
     for t in transfers:

@@ -161,13 +161,14 @@ def _parse_matrix(d, k_bar: int) -> MatrixSpec:
 
 def _parse_timing(d, n_clients: int) -> TimingModel:
     _check_keys(d, "timing", {"noise", "failed_clients", "failure_prob"})
-    noise = _as_num(d.get("noise", 1.0), "timing.noise", lo=0.0)
-    failed = d.get("failed_clients", [])
+    noise = _as_num(d.get("noise", TimingModel.noise), "timing.noise", lo=0.0)
+    failed = d.get("failed_clients", list(TimingModel.failed_clients))
     _expect(isinstance(failed, list), "timing.failed_clients", "expected a list")
     failed = tuple(_as_int(v, f"timing.failed_clients[{i}]", lo=0,
                            hi=n_clients - 1)
                    for i, v in enumerate(failed))
-    prob = _as_num(d.get("failure_prob", 0.0), "timing.failure_prob", lo=0.0)
+    prob = _as_num(d.get("failure_prob", TimingModel.failure_prob),
+                   "timing.failure_prob", lo=0.0)
     _expect(prob <= 1.0, "timing.failure_prob", f"must be <= 1, got {prob}")
     try:
         return TimingModel(noise=noise, failed_clients=failed,
@@ -188,28 +189,26 @@ def _parse_comm(d) -> CommModel:
 
 def _parse_bench(d) -> BenchSpec:
     _check_keys(d, "bench", {"zero_fractions", "timing_trials", "warmup"})
-    zfs = d.get("zero_fractions", [0.95, 0.98, 0.99])
+    zfs = d.get("zero_fractions", list(BenchSpec.zero_fractions))
     _expect(isinstance(zfs, list) and zfs, "bench.zero_fractions",
             "expected a non-empty list")
     zfs = tuple(_as_num(z, f"bench.zero_fractions[{i}]", lo=0.0)
                 for i, z in enumerate(zfs))
     for i, z in enumerate(zfs):
         _expect(z < 1.0, f"bench.zero_fractions[{i}]", f"must be < 1, got {z}")
-    return BenchSpec(zfs,
-                     _as_int(d.get("timing_trials", 11), "bench.timing_trials", lo=1),
-                     _as_int(d.get("warmup", 2), "bench.warmup", lo=0))
+    trials, warmup = (_as_int(d.get(k, getattr(BenchSpec, k)), f"bench.{k}", lo)
+                      for k, lo in (("timing_trials", 1), ("warmup", 0)))
+    return BenchSpec(zfs, trials, warmup)
 
 
 def _parse_fl(d, k_bar: int, n_clients: int) -> FlSpec:
-    _check_keys(d, "fl", {"rows", "cols", "steps", "stragglers_per_round"})
-    cols = _as_int(d.get("cols", 21), "fl.cols", lo=1)
-    _expect_split(cols, k_bar, "fl.cols")
-    return FlSpec(rows=_as_int(d.get("rows", 60), "fl.rows", lo=1),
-                  cols=cols,
-                  steps=_as_int(d.get("steps", 100), "fl.steps", lo=0),
-                  stragglers_per_round=_as_int(d.get("stragglers_per_round", 2),
-                                               "fl.stragglers_per_round", lo=0,
-                                               hi=n_clients))
+    bounds = {"rows": (1, None), "cols": (1, None), "steps": (0, None),
+              "stragglers_per_round": (0, n_clients)}
+    _check_keys(d, "fl", bounds)
+    fl = FlSpec(**{k: _as_int(d.get(k, getattr(FlSpec, k)), f"fl.{k}", lo, hi)
+                   for k, (lo, hi) in bounds.items()})
+    _expect_split(fl.cols, k_bar, "fl.cols")
+    return fl
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:

@@ -337,7 +337,7 @@ def check_all_subsets(plan: CodingPlan, sample: int | None = None,
         # the two passes hold a float and a flag per drawn subset
         raise SubsetGuardError(
             f"sample of {sample} subsets exceeds the guard ({SUBSET_GUARD})")
-    G = plan.coefficient_matrix()
+    G = plan.G
     n_bar, k_bar = G.shape
     total = math.comb(n_bar, k_bar)
     if sample is None and total > SUBSET_GUARD:
@@ -508,16 +508,13 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
     if max_stragglers is None:
         max_stragglers = n_clients
     _check_pattern_guard(n_clients, max_stragglers)
-    G = plan.coefficient_matrix()
-    owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
-             for c in roster.clients}
     straggler_sets = (combo for size in range(max_stragglers + 1)
                       for combo in itertools.combinations(roster.clients, size))
     buckets: dict[tuple, list] = {}
     for chunk in _chunks(straggler_sets):
         by_rows: dict[int, list] = {}    # row count -> (pattern key, survivors)
         for combo in chunk:
-            removed = {w for c in combo for w in owned[c.id]}
+            removed = {w for c in combo for w in plan.workers_of(c.id)}
             key = tuple(sorted(c.type_index for c in combo))
             bucket = buckets.setdefault(key, [0, 0, len(removed)])
             bucket[0] += 1
@@ -525,7 +522,7 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
             if len(rows) >= plan.k_bar:
                 by_rows.setdefault(len(rows), []).append((key, rows))
         for group in by_rows.values():
-            rank, _ = _rank_and_cond(G, [rows for _, rows in group])
+            rank, _ = _rank_and_cond(plan.G, [rows for _, rows in group])
             for (key, _), r in zip(group, rank):
                 buckets[key][1] += int(r == plan.k_bar)
     return _pattern_report(plan, buckets)
@@ -563,10 +560,10 @@ def certify(plan: CodingPlan, roster: ClientRoster,
     subsets = check_all_subsets(plan, sample=sample, seed=seed)
     unmatched = tuple(f for f in subsets.failures
                       if not check_hall_condition(plan, f).perfect)
-    owned = Counter(s.owner_client for s in plan.specs)
-    width = {c.type_index: owned[c.id] for c in roster.clients}
+    width = {c.type_index: len(plan.workers_of(c.id)) for c in roster.clients}
     if not (subsets.exhaustive and subsets.ok) or any(
-            owned[c.id] != width[c.type_index] for c in roster.clients):
+            len(plan.workers_of(c.id)) != width[c.type_index]
+            for c in roster.clients):
         patterns = resilience_patterns(roster, plan, max_stragglers)
         return Certificate(subsets, unmatched, patterns, max_stragglers)
     _check_pattern_guard(roster.n_clients, max_stragglers)

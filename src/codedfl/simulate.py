@@ -76,9 +76,6 @@ class ClientExposure:
 
 @dataclass(frozen=True)
 class SimReport:
-    scheme: str
-    raw_block_transfers: int
-    coded_block_transfers: int
     total_bytes_d2d: float
     comm_delay: float
     compute_finish: dict            # worker -> finish time (failed: absent)
@@ -106,10 +103,9 @@ def privacy_report(plan: CodingPlan,
     about, not the columns it can read.
     """
     k_bar = plan.k_bar
-    raw: dict[int, set] = {c.id: set() for c in roster.clients}
+    raw = {c.id: {q for q in plan.workers_of(c.id) if q < k_bar}   # its own
+           for c in roster.clients}
     coded: dict[int, set] = {c.id: set() for c in roster.clients}
-    for q in range(k_bar):
-        raw[plan.specs[q].owner_client].add(q)
     for t in plan.transfers:
         if t.kind == "raw":
             raw[t.dst].add(t.payload)
@@ -151,9 +147,6 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
 
     # sequential execution per physical client, on-time clients starting
     # after comms and late ones after the last on-time finish
-    owned: dict[int, list[int]] = {}
-    for s in plan.specs:
-        owned.setdefault(s.owner_client, []).append(s.worker)
     finish: dict[int, float] = {}
     start = comm_delay
     for is_late in (False, True):
@@ -161,7 +154,7 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
             if c.id in failed or (c.id in late) != is_late:
                 continue
             clock = start
-            for w in owned.get(c.id, ()):
+            for w in plan.workers_of(c.id):
                 clock += timing.task_time(c, alpha, roster.base_speed, rng)
                 finish[w] = clock
         start = max(finish.values(), default=comm_delay)
@@ -182,7 +175,7 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
             problem = products.problem(first)
         else:
             # synthetic unknowns give the decoder real work at zero data cost
-            G = plan.coefficient_matrix()[first]
+            G = plan.G[first]
             products = G @ rng.standard_normal((k, alpha))
             problem = dec.DecodeProblem(
                 tuple(dec.ReturnedResult(w, g, p)
@@ -193,9 +186,6 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
             error = str(e)
 
     return SimReport(
-        scheme=plan.scheme,
-        raw_block_transfers=len(plan.raw_transfers()),
-        coded_block_transfers=len(plan.coded_transfers()),
         total_bytes_d2d=total_bytes,
         comm_delay=comm_delay,
         compute_finish=finish,

@@ -224,13 +224,13 @@ def test_plan_determinism():
     b = cd.build_heterogeneous_plan(example2_roster(), seed=42)
     c = cd.build_heterogeneous_plan(example2_roster(), seed=43)
     assert a == b
-    np.testing.assert_array_equal(a.coefficient_matrix(), b.coefficient_matrix())
+    np.testing.assert_array_equal(a.G, b.G)
     assert a != c
 
 
 def test_coefficient_matrix_support_exact():
     plan = fig1_plan(seed=7)
-    G = plan.coefficient_matrix()
+    G = plan.G
     assert G.shape == (12, 10)
     for s in plan.specs:
         on = np.zeros(10, dtype=bool)
@@ -278,13 +278,37 @@ def test_poly_plan_small_vandermonde():
     roster = cd.make_roster([1, 1, 1], [1, 1])
     plan = cd.build_poly_plan(roster)
     nodes = np.cos((2 * np.arange(5) + 1) * np.pi / 10)
-    G = plan.coefficient_matrix()
+    G = plan.G
     np.testing.assert_array_equal(
         G, np.polynomial.chebyshev.chebvander(nodes, 2))
     np.testing.assert_allclose(G[:, 2], 2 * nodes ** 2 - 1, atol=1e-15)
     # any 3 of the 5 rows are independent
     for keep in itertools.combinations(range(5), 3):
         assert np.linalg.matrix_rank(G[list(keep)]) == 3
+
+
+def test_plan_derives_G_once_and_encode_shares_it():
+    roster = cd.make_roster([2, 1, 1], [1])
+    plan = cd.build_heterogeneous_plan(roster, seed=0)
+    G = plan.G
+    assert plan.G is G                      # one derivation, on first use
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+    A = mx.random_dense(6, 8, np.random.default_rng(0))
+    assert cd.encode(mx.partition_uniform(A, plan.k_bar), plan).G is G
+
+
+def test_workers_of_maps_every_client_to_its_workers():
+    # owners by worker: 0, 0, 1, 2 (actives), then 3 (the passive)
+    roster = cd.make_roster([2, 1, 1], [1])
+    plan = cd.build_heterogeneous_plan(roster, seed=0)
+    assert [plan.workers_of(c.id) for c in roster.clients] == [
+        (0, 1), (2,), (3,), (4,)]
+    # the uncoded control gives the passive client no worker
+    uncoded = cd.build_uncoded_plan(roster)
+    assert [uncoded.workers_of(c.id) for c in roster.clients] == [
+        (0, 1), (2,), (3,), ()]
 
 
 def test_poly_single_block_rows_all_one():
@@ -521,6 +545,26 @@ def test_plan_from_dict_rejects_malformed():
     bad["transfers"][0]["kind"] = "quantum"
     with pytest.raises(cd.PlanError):
         cd.plan_from_dict(bad)
+
+
+def test_a_support_that_repeats_a_block_is_rejected():
+    # G would hold the last coefficient, 2 A_0, while every encode route
+    # sums both into 3 A_0: decode then returned a wrong A^T x with a zero
+    # residual
+    roster = cd.make_roster([1, 1, 1], [1])
+    plan = cd.build_heterogeneous_plan(roster, seed=0)
+    d = cd.plan_to_dict(plan, roster)
+    d["workers"][0].update(support=[0, 0], coeffs=[1.0, 2.0])
+    with pytest.raises(cd.PlanError, match="worker 0: support repeats a block"):
+        cd.plan_from_dict(d)
+    # a plan built in code is held to the same rules; -1 used to land in
+    # G's last column and break the dense encode
+    for support, msg in [((0, 0), "support repeats a block"),
+                         ((-1, 0), "block index out of range")]:
+        specs = (cd.CodedBlockSpec(0, 0, support, (1.0, 2.0), ""),
+                 *plan.specs[1:])
+        with pytest.raises(cd.PlanError, match=f"worker 0: {msg}"):
+            cd.CodingPlan("proposed", 3, 1, specs, plan.transfers)
 
 
 def test_plan_is_indexed_by_worker():

@@ -4,13 +4,16 @@ import csv
 import itertools
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from codedfl import cli, coding as cd, decoding as dec, matrices as mx
-from codedfl.config import ConfigError, load_config, parse_config
+from codedfl.config import (BenchSpec, ConfigError, FlSpec, load_config,
+                            parse_config)
+from codedfl.simulate import TimingModel
 
 
 def minimal_doc(**extra):
@@ -37,6 +40,15 @@ def test_defaults():
     assert cfg.out == "."
     assert cfg.matrix is None and cfg.bench is None and cfg.fl is None
     assert cfg.roster.n_clients == 3
+
+
+def test_empty_sections_parse_to_the_class_defaults():
+    cfg = parse_config(minimal_doc(
+        matrix={"rows": 30, "cols": 21, "kind": "sparse", "zero_fraction": 0.9},
+        fl={}, bench={}, timing={}))
+    assert cfg.fl == FlSpec()
+    assert cfg.bench == BenchSpec()
+    assert cfg.timing == TimingModel()
 
 
 def test_unknown_top_level_key_rejected():
@@ -200,6 +212,24 @@ def test_plan_writes_files_and_round_trips(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert any("plan_proposed.json" in o for o in manifest["outputs"])
+
+
+def test_simulate_reads_each_plan_fact_once_per_scheme(tmp_path, monkeypatch):
+    # the transfer split is a fact of the plan, not of a round
+    calls = Counter()
+    real = cd.CodingPlan.raw_transfers
+
+    def counting(plan):
+        calls[plan.scheme] += 1
+        return real(plan)
+
+    monkeypatch.setattr(cd.CodingPlan, "raw_transfers", counting)
+    doc = example_doc(tmp_path / "out", trials=200)
+    del doc["matrix"]                       # synthetic products
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    assert all(n <= 1 for n in calls.values())
+    rows = read_csv(tmp_path / "out" / "round.csv")
+    assert len(rows) == 1 + 2 * 200
 
 
 def test_verify_from_config(tmp_path, capsys):
@@ -634,8 +664,12 @@ def _without(key):
      "k_bar=0"),
     # it used to load, and resilience.json reported the scheme as given
     (lambda d: d.update(scheme="quantum") or d, "unknown scheme 'quantum'"),
+    # it used to load, and its rounds decoded a wrong A^T x
+    (lambda d: d["workers"][0].update(support=[0, 0], coeffs=[1.0, 2.0])
+     or d, "support repeats a block"),
 ], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
-        "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme"])
+        "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme",
+        "repeated-block"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
     # exit 1 is a diverging descent; a bad plan file is a config error
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",

@@ -177,7 +177,7 @@ def test_decode_forward_error_at_k28(plan_seed, seed):
         res = dec.decode(dec.problem_from_workload(wl, x, workers))
     except dec.RankDeficientError:
         return
-    cond = np.linalg.cond(plan.coefficient_matrix()[workers])
+    cond = np.linalg.cond(plan.G[workers])
     want = A.matvec_t(x)
     err = np.linalg.norm(res.concatenated() - want) / np.linalg.norm(want)
     assert err <= k * np.finfo(np.float64).eps * cond
@@ -188,7 +188,7 @@ def test_decode_forward_error_at_k28(plan_seed, seed):
 
 def reference_survey(plan, sample=None, seed=0):
     """Per-subset matrix_rank/cond loop: failures, max cond, worst subset."""
-    G = plan.coefficient_matrix()
+    G = plan.G
     failures, conds = [], []
     for subset in dec.iter_subsets(plan.n_bar, plan.k_bar, sample, seed):
         sub = G[list(subset)]
@@ -268,7 +268,7 @@ def test_near_singular_verdicts_equal_matrix_rank(delta, j):
     # holding both have cond near 1/delta, and the sweep crosses
     # matrix_rank's threshold 1/(6 eps), about 7.5e14
     plan = cd.build_homogeneous_plan(6, 2, seed=1)
-    row = plan.coefficient_matrix()[0].copy()
+    row = plan.G[0].copy()
     row[j] += delta
     near = with_row(plan, 7, row)
     report = dec.check_all_subsets(near)
@@ -285,7 +285,7 @@ def test_near_singular_verdicts_equal_matrix_rank(delta, j):
 def rank_deficient_plan():
     """A dense 4+2 plan whose last block column repeats the first."""
     plan = cd.build_dense_plan(cd.make_roster([1] * 4, [1, 1]), seed=2)
-    G = plan.coefficient_matrix()
+    G = plan.G
     for w in range(plan.n_bar):
         row = G[w].copy()
         row[-1] = row[0]
@@ -315,7 +315,7 @@ def test_subsets_the_bound_cannot_settle_are_all_ranked(setup):
     assert report.subsets_ranked == report.subsets_checked
     assert_matches_reference(report, plan)
     if setup is rank_deficient_plan:
-        assert np.linalg.matrix_rank(plan.coefficient_matrix()) == 3
+        assert np.linalg.matrix_rank(plan.G) == 3
         assert len(report.failures) == report.subsets_checked == 15
         assert report.worst_subset is None
 
@@ -442,7 +442,7 @@ def test_check_hall_rejects_wrong_subset_size():
 def test_matching_implies_rank_on_fig1():
     # the two certificates must agree subset-by-subset at a fixed seed
     plan = cd.build_homogeneous_plan(10, 2, seed=4)
-    G = plan.coefficient_matrix()
+    G = plan.G
     for subset in itertools.combinations(range(12), 10):
         perfect = dec.check_hall_condition(plan, subset).perfect
         full = np.linalg.matrix_rank(G[list(subset)]) == 10
@@ -452,7 +452,7 @@ def test_matching_implies_rank_on_fig1():
     hetero = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
     plans = [tampered_plan()[0], cd.build_heterogeneous_plan(hetero, seed=1)]
     for plan in plans:
-        G = plan.coefficient_matrix()
+        G = plan.G
         seen_failure = False
         for subset in itertools.combinations(range(plan.n_bar), plan.k_bar):
             full = np.linalg.matrix_rank(G[list(subset)]) == plan.k_bar
@@ -499,7 +499,7 @@ def test_resilience_is_tight_beyond_s():
     # dropping the s+1 rows that cover an unseen unknown kills that unknown:
     # its column vanishes from every surviving row
     plan = cd.build_homogeneous_plan(10, 2, seed=0)
-    G = plan.coefficient_matrix()
+    G = plan.G
     q = 6   # a block no passive worker touches
     touching = [s.worker for s in plan.specs if q in s.support]
     assert len(touching) == 3
@@ -577,7 +577,7 @@ def test_patterns_match_per_set_rank(setup):
     # the batched survey equals a matrix_rank call per straggler set
     plan, roster = setup()
     report = dec.resilience_patterns(roster, plan)
-    G = plan.coefficient_matrix()
+    G = plan.G
     owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
              for c in roster.clients}
     for e in report.entries:

@@ -1,6 +1,8 @@
 """Byte-identical reruns, pinned: the sha256 of every deterministic file
 that the benchmark's toy configs and the README config write, and the exit
-code of every command, as committed in golden.json.
+code of every command, as committed in golden.json.  The README config
+runs with its own schemes and once each with ``--scheme poly`` and
+``--scheme uncoded``.
 
 Every command runs in-process through ``cli.main``.  A change that means
 to change outputs regenerates the file with
@@ -22,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 TOY_SEEDS = (0, 3, 7)
 README_SEEDS = (1, 2, 7)
+README_EXTRA_SCHEMES = ("poly", "uncoded")
 # measured wall-clock medians, and a creation time
 NOT_DETERMINISTIC = {"benchmark_times.csv", "manifest.json"}
 
@@ -50,13 +53,18 @@ def _cases(tmp: Path):
     readme = (ROOT / "README.md").read_text()
     cfg = tmp / "readme.json"
     cfg.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    for seed in README_SEEDS:
-        case = f"readme/seed={seed}"
-        out = tmp / case
-        common = ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]
-        yield case, out, [["plan", *common], ["verify", *common],
-                          ["simulate", *common, "--require-decode"],
-                          ["fl-demo", *common, "--check"]]
+    # the config's own schemes, then each scheme it leaves out on its own
+    for scheme in (None, *README_EXTRA_SCHEMES):
+        for seed in README_SEEDS:
+            case = (f"readme/seed={seed}" if scheme is None
+                    else f"readme/scheme={scheme}/seed={seed}")
+            out = tmp / case
+            common = ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+            if scheme is not None:
+                common += ["--scheme", scheme]
+            yield case, out, [["plan", *common], ["verify", *common],
+                              ["simulate", *common, "--require-decode"],
+                              ["fl-demo", *common, "--check"]]
 
 
 def digests(tmp: Path) -> dict:

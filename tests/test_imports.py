@@ -4,7 +4,8 @@
 scipy is imported only where it is used: ``scipy.sparse`` and ``scipy.io``
 where a sparse matrix or a ``.mtx`` file is made, ``scipy.linalg`` in
 ``decode``.  Planning and certifying load none of it, and a dense round
-loads no ``scipy.sparse``.
+loads no ``scipy.sparse``.  The manifest names the scipy a command loaded,
+so it reads it from ``sys.modules`` and writes null where there is none.
 """
 
 import json
@@ -12,7 +13,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import scipy
+
 from test_golden import ROOT, _bench_workloads
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # runs the commands, then prints the scipy modules loaded as its last line
 SCRIPT = """
@@ -26,9 +32,16 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 """
 
 
-def _run(config, commands):
-    """(exit codes, scipy modules loaded) of one fresh process."""
+def _run(config, commands, blas_env=None):
+    """(exit codes, scipy modules loaded) of one fresh process.
+
+    ``blas_env``, if given, replaces the BLAS thread variables it inherits.
+    """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if blas_env is not None:
+        for var in BLAS_ENV:
+            env.pop(var, None)
+        env.update(blas_env)
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps([str(config), commands])],
         env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -66,3 +79,21 @@ def test_dense_rounds_load_no_scipy_sparse(tmp_path):
     assert codes == [0, 0]
     assert "scipy.linalg" in modules          # the rounds did decode
     assert not [m for m in modules if m.startswith("scipy.sparse")]
+
+
+def test_manifest_records_numpy_scipy_and_blas_env(tmp_path):
+    paths, commands = _certify_rounds(tmp_path)
+    manifest = tmp_path / "out" / "manifest.json"
+    blas = {"OPENBLAS_NUM_THREADS": "1"}
+    assert _run(paths["certify"], commands[:1], blas) == [[0], []]   # plan
+    doc = json.loads(manifest.read_text())
+    assert doc["numpy"] == np.__version__
+    assert doc["scipy"] is None
+    assert doc["blas_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                               "OMP_NUM_THREADS": None,
+                               "MKL_NUM_THREADS": None}
+    codes, _ = _run(paths["simulate"], commands[2:3], blas)        # simulate
+    assert codes == [0]
+    doc = json.loads(manifest.read_text())
+    assert doc["scipy"] == scipy.__version__
+    assert doc["blas_env"]["OPENBLAS_NUM_THREADS"] == "1"

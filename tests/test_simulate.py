@@ -30,8 +30,8 @@ def test_transfer_counts_proposed_vs_dense():
                             sim.CommModel(), rng(1))
     r2 = sim.simulate_round(dense, roster, sim.TimingModel(noise=0),
                             sim.CommModel(), rng(1))
-    assert r1.raw_block_transfers == 36 and r1.coded_block_transfers == 2
-    assert r2.raw_block_transfers == 342 and r2.coded_block_transfers == 0
+    assert len(prop.raw_transfers()) == 36 and len(prop.coded_transfers()) == 2
+    assert len(dense.raw_transfers()) == 342 and len(dense.coded_transfers()) == 0
     assert r1.total_bytes_d2d * 5 < r2.total_bytes_d2d
     assert r1.comm_delay <= r2.comm_delay
 
