@@ -104,10 +104,10 @@ def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
     return mx.random_dense(rows, spec.cols, rng)
 
 
-def _allocation_lines(plan: cd.CodingPlan, roster: cd.ClientRoster) -> list:
+def _allocation_lines(plan: cd.CodingPlan) -> list:
     lines = [f"scheme={plan.scheme} k_bar={plan.k_bar} s_bar={plan.s_bar} "
              f"workers={plan.n_bar}"]
-    for c in roster.clients:
+    for c in plan.roster.clients:
         parts = []
         for w in plan.workers_of(c.id):
             blocks = ",".join(f"A_{q}" for q in plan.specs[w].support)
@@ -130,9 +130,9 @@ def cmd_plan(cfg: ExperimentConfig) -> int:
     for scheme, plan in zip(cfg.schemes, plans):
         plan_path = out / f"plan_{scheme}.json"
         with open(plan_path, "w") as fh:
-            json.dump(cd.plan_to_dict(plan, cfg.roster), fh, indent=2)
+            json.dump(cd.plan_to_dict(plan), fh, indent=2)
             fh.write("\n")
-        lines = _allocation_lines(plan, cfg.roster)
+        lines = _allocation_lines(plan)
         alloc_path = out / f"allocation_{scheme}.txt"
         alloc_path.write_text("\n".join(lines) + "\n")
         outputs += [plan_path, alloc_path]
@@ -150,7 +150,7 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     if args.plan:
         try:
             with open(args.plan) as fh:
-                plan, roster = cd.plan_from_dict(json.load(fh))
+                plan = cd.plan_from_dict(json.load(fh))
         except OSError as e:
             return _fail(f"cannot read plan: {e}", 2)
         except json.JSONDecodeError as e:
@@ -162,14 +162,13 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
             out = args.out or "."
     elif cfg is not None:
         plan = cd.build_plan(cfg.schemes[0], cfg.roster, cfg.seed)
-        roster = cfg.roster
         seed = cfg.seed
         out = cfg.out
     else:
         return _fail("verify needs --plan or --config", 2)
 
     try:
-        cert = dec.certify(plan, roster, args.max_stragglers, args.sample, seed)
+        cert = dec.certify(plan, args.max_stragglers, args.sample, seed)
     except dec.SubsetGuardError as e:
         return _fail(str(e), 2)
     report, patterns = cert.subsets, cert.patterns
@@ -221,7 +220,7 @@ def _simulate_rounds(cfg, plan, workload, x):
     any_decode_failure = False
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, _TAG_TRIAL, t])
-        rep = sim.simulate_round(plan, cfg.roster, cfg.timing, cfg.comm, rng,
+        rep = sim.simulate_round(plan, cfg.timing, cfg.comm, rng,
                                  products=products)
         any_decode_failure |= not rep.decode_ok
         rows.append([
@@ -269,8 +268,8 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
         rows, failed = _simulate_rounds(cfg, plan, workload_by_scheme.get(s), x)
         any_failure |= failed
         round_rows += rows
-        exposure = sim.privacy_report(plan, cfg.roster)
-        for c in cfg.roster.clients:
+        exposure = sim.privacy_report(plan)
+        for c in plan.roster.clients:
             e = exposure[c.id]
             privacy_rows.append([s, c.id, c.role, c.type_index, c.multiplier,
                                  e.raw_fraction, e.coded_support_fraction])
@@ -317,13 +316,14 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
     fl = cfg.fl
     if fl is None:
         raise ConfigError("fl: section required for fl-demo")
+    plan = cd.build_plan(cfg.schemes[0], cfg.roster, cfg.seed)
     rng = np.random.default_rng([cfg.seed, _TAG_FL])
     D = mx.random_dense(fl.rows, fl.cols, rng)
     y = rng.standard_normal(fl.rows)
     try:
-        res = sim.fl_demo(D, y, cfg.roster, fl.steps, seed=cfg.seed,
+        res = sim.fl_demo(D, y, plan, fl.steps, seed=cfg.seed,
                           stragglers_per_round=fl.stragglers_per_round,
-                          scheme=cfg.schemes[0], timing=cfg.timing)
+                          timing=cfg.timing)
     except dec.DecodeError as e:
         return _fail(f"round decode failed after retries: {e}", 4)
 

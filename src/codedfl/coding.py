@@ -10,8 +10,10 @@ i already holds block i, so it receives the remaining w - 1 blocks raw
 over D2D links; each passive client receives one ready-made coded block
 instead of any raw data.
 
-Baseline builders (dense random, polynomial, uncoded) share
-the same plan and workload types so downstream analysis is scheme-blind.
+Every builder, baselines (dense random, polynomial, uncoded) included,
+returns a CodingPlan that carries its roster, so downstream analysis is
+scheme-blind and takes the plan alone.  The plan derives k_bar and s_bar
+and checks its own structure when it is made, however it was built.
 """
 
 from __future__ import annotations
@@ -159,10 +161,13 @@ class Transfer:
 
 @dataclass(frozen=True)
 class CodingPlan:
-    """A scheme's coded blocks and transfers; specs[w] is worker w's spec."""
+    """A scheme's coded blocks and transfers over its roster.
+
+    specs[w] is worker w's spec; k_bar and s_bar are derived, not stored.
+    Every structural rule is checked here, for built and stored plans alike.
+    """
     scheme: str                # one of SCHEMES
-    k_bar: int
-    s_bar: int
+    roster: ClientRoster
     specs: tuple[CodedBlockSpec, ...]   # indexed by worker
     transfers: tuple[Transfer, ...]
 
@@ -170,18 +175,43 @@ class CodingPlan:
         if self.scheme not in SCHEMES:
             raise PlanError(f"unknown scheme {self.scheme!r}; expected one of "
                             f"{', '.join(SCHEMES)}")
-        if self.k_bar < 1 or self.s_bar < 0:
+        k_bar, n_bar = self.k_bar, self.n_bar
+        if k_bar < 1 or self.s_bar < 0:
             raise PlanError(f"need k_bar >= 1 and s_bar >= 0, got "
-                            f"k_bar={self.k_bar}, s_bar={self.s_bar}")
+                            f"k_bar={k_bar}, s_bar={self.s_bar}")
+        n_clients = self.roster.n_clients
         for w, s in enumerate(self.specs):
             if s.worker != w:
                 raise PlanError(f"spec {w} is for worker {s.worker}; "
                                 "worker indices must cover 0..n_bar-1")
-            if any(not 0 <= q < self.k_bar for q in s.support):
+            if len(s.support) != len(s.coeffs):
+                # G would broadcast or drop coefficients the encode pairs up
+                raise PlanError(f"worker {w}: support/coeff length mismatch")
+            if any(not 0 <= q < k_bar for q in s.support):
                 raise PlanError(f"worker {w}: block index out of range")
             if len(set(s.support)) != len(s.support):
                 # G would keep one coefficient where encode sums them all
                 raise PlanError(f"worker {w}: support repeats a block")
+            if not 0 <= s.owner_client < n_clients:
+                # no client would run the worker or straggle with it
+                raise PlanError(f"worker {w}: unknown owner {s.owner_client}")
+        for t in self.transfers:
+            if t.kind not in ("raw", "coded"):
+                raise PlanError(f"unknown transfer kind {t.kind!r}")
+            if not 0 <= t.payload < (k_bar if t.kind == "raw" else n_bar):
+                raise PlanError(f"transfer payload {t.payload} out of range")
+            if not (0 <= t.src < n_clients and 0 <= t.dst < n_clients):
+                raise PlanError(
+                    f"transfer endpoints ({t.src}, {t.dst}) out of range")
+
+    @cached_property
+    def k_bar(self) -> int:
+        """One block per active virtual worker."""
+        return expand_heterogeneous(self.roster)[0]
+
+    @property
+    def s_bar(self) -> int:
+        return self.n_bar - self.k_bar
 
     @property
     def n_bar(self) -> int:
@@ -234,16 +264,10 @@ def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
         raise RosterError(
             f"s_bar={s_bar} must be < k_bar={k_bar} for weight s_bar+1 supports")
     weight = s_bar + 1
-    specs = []
-    for i in range(k_bar):
-        coeffs, tag = _spec_coeffs(seed, i, weight)
-        specs.append(CodedBlockSpec(i, owner[i], _cyclic_support(i, weight, k_bar),
-                                    coeffs, tag))
-    for i in range(s_bar):
-        w = k_bar + i
-        coeffs, tag = _spec_coeffs(seed, w, weight)
-        specs.append(CodedBlockSpec(w, owner[w], _cyclic_support(i, weight, k_bar),
-                                    coeffs, tag))
+    # the support of passive worker k_bar+i starts at (k_bar+i) mod k_bar = i
+    specs = tuple(CodedBlockSpec(w, owner[w], _cyclic_support(w, weight, k_bar),
+                                 *_spec_coeffs(seed, w, weight))
+                  for w in range(k_bar + s_bar))
 
     transfers = []
     seen = set()
@@ -259,7 +283,7 @@ def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
         # the client running paired active worker i holds all of S_i and
         # computes the passive combination on its behalf
         transfers.append(Transfer(owner[i], owner[k_bar + i], "coded", k_bar + i))
-    return CodingPlan("proposed", k_bar, s_bar, tuple(specs), tuple(transfers))
+    return CodingPlan("proposed", roster, specs, tuple(transfers))
 
 
 def build_homogeneous_plan(k_a: int, s: int, seed: int = 0) -> CodingPlan:
@@ -272,23 +296,18 @@ def build_homogeneous_plan(k_a: int, s: int, seed: int = 0) -> CodingPlan:
 
 def _full_support_transfers(roster: ClientRoster, k_bar: int, owner):
     # every generated block goes raw to every other physical client
-    transfers = []
-    for q in range(k_bar):
-        for c in roster.clients:
-            if c.id != owner[q]:
-                transfers.append(Transfer(owner[q], c.id, "raw", q))
-    return tuple(transfers)
+    return tuple(Transfer(owner[q], c.id, "raw", q) for q in range(k_bar)
+                 for c in roster.clients if c.id != owner[q])
 
 
 def build_dense_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     """Dense-random baseline: every worker combines all k_bar blocks."""
     k_bar, s_bar, owner = expand_heterogeneous(roster)
     support = tuple(range(k_bar))
-    specs = []
-    for w in range(k_bar + s_bar):
-        coeffs, tag = _spec_coeffs(seed, w, k_bar)
-        specs.append(CodedBlockSpec(w, owner[w], support, coeffs, tag))
-    return CodingPlan("dense", k_bar, s_bar, tuple(specs),
+    specs = tuple(CodedBlockSpec(w, owner[w], support,
+                                 *_spec_coeffs(seed, w, k_bar))
+                  for w in range(k_bar + s_bar))
+    return CodingPlan("dense", roster, specs,
                       _full_support_transfers(roster, k_bar, owner))
 
 
@@ -312,7 +331,7 @@ def build_poly_plan(roster: ClientRoster) -> CodingPlan:
         CodedBlockSpec(w, owner[w], support, tuple(float(v) for v in rows[w]),
                        f"node={float(nodes[w])!r}")
         for w in range(n_bar))
-    return CodingPlan("poly", k_bar, s_bar, specs,
+    return CodingPlan("poly", roster, specs,
                       _full_support_transfers(roster, k_bar, owner))
 
 
@@ -321,7 +340,7 @@ def build_uncoded_plan(roster: ClientRoster) -> CodingPlan:
     k_bar, _, owner = expand_heterogeneous(roster)
     specs = tuple(CodedBlockSpec(i, owner[i], (i,), (1.0,), "unit")
                   for i in range(k_bar))
-    return CodingPlan("uncoded", k_bar, 0, specs, ())
+    return CodingPlan("uncoded", roster, specs, ())
 
 
 SCHEMES = ("proposed", "dense", "poly", "uncoded")
@@ -490,13 +509,13 @@ def roster_from_dict(d: dict) -> ClientRoster:
     return roster
 
 
-def plan_to_dict(plan: CodingPlan, roster: ClientRoster) -> dict:
+def plan_to_dict(plan: CodingPlan) -> dict:
     return {
         "format": PLAN_FORMAT,
         "scheme": plan.scheme,
         "k_bar": plan.k_bar,
         "s_bar": plan.s_bar,
-        "roster": roster_to_dict(roster),
+        "roster": roster_to_dict(plan.roster),
         "workers": [
             {"worker": s.worker, "owner": s.owner_client,
              "support": list(s.support), "coeffs": list(s.coeffs),
@@ -510,13 +529,13 @@ def plan_to_dict(plan: CodingPlan, roster: ClientRoster) -> dict:
     }
 
 
-def plan_from_dict(d: dict):
-    """Parse and structurally validate a stored plan; returns (plan, roster).
+def plan_from_dict(d: dict) -> CodingPlan:
+    """Parse a stored plan; the plan itself checks its structure.
 
     Stored workers may come in any order; the plan's specs are sorted by
-    worker.  Validation is structural only (shapes, index ranges); rank
-    properties are the verifier's job, so a tampered-but-well-formed plan
-    loads fine.
+    worker.  The stored k_bar and s_bar must equal the derived ones.  The
+    checks are structural only; rank properties are the verifier's job, so
+    a tampered-but-well-formed plan loads fine.
     """
     if not isinstance(d, dict):
         raise PlanError("malformed plan: top level must be an object")
@@ -527,7 +546,7 @@ def plan_from_dict(d: dict):
     roster = roster_from_dict(d["roster"])
     try:
         scheme = str(d["scheme"])
-        k_bar, s_bar = int(d["k_bar"]), int(d["s_bar"])
+        stored = int(d["k_bar"]), int(d["s_bar"])
         specs = tuple(sorted((
             CodedBlockSpec(int(w["worker"]), int(w["owner"]),
                            tuple(int(q) for q in w["support"]),
@@ -539,20 +558,8 @@ def plan_from_dict(d: dict):
             for t in d["transfers"])
     except (KeyError, TypeError, ValueError) as e:
         raise PlanError(f"malformed plan: {e}") from e
-    if len(specs) != k_bar + s_bar:
-        raise PlanError(f"{len(specs)} worker specs, expected {k_bar + s_bar}")
-    n_clients = roster.n_clients
-    for s in specs:
-        if len(s.support) != len(s.coeffs):
-            raise PlanError(f"worker {s.worker}: support/coeff length mismatch")
-        if not 0 <= s.owner_client < n_clients:
-            raise PlanError(f"worker {s.worker}: unknown owner {s.owner_client}")
-    for t in transfers:
-        if t.kind not in ("raw", "coded"):
-            raise PlanError(f"unknown transfer kind {t.kind!r}")
-        limit = k_bar if t.kind == "raw" else k_bar + s_bar
-        if not 0 <= t.payload < limit:
-            raise PlanError(f"transfer payload {t.payload} out of range")
-        if not (0 <= t.src < n_clients and 0 <= t.dst < n_clients):
-            raise PlanError(f"transfer endpoints ({t.src}, {t.dst}) out of range")
-    return CodingPlan(scheme, k_bar, s_bar, specs, transfers), roster
+    k_bar = expand_heterogeneous(roster)[0]
+    if stored != (k_bar, len(specs) - k_bar):
+        raise PlanError(f"stored k_bar={stored[0]}, s_bar={stored[1]}; roster "
+                        f"and workers give {k_bar}, {len(specs) - k_bar}")
+    return CodingPlan(scheme, roster, specs, transfers)

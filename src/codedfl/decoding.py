@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import ClientRoster, CodingPlan, EncodedWorkload
+from .coding import CodingPlan, EncodedWorkload
 from .matrices import ShapeError
 
 DECODE_TOL = 1e-8       # row-wise relative residual bound
@@ -441,7 +441,7 @@ class PatternEntry:
     types: tuple[int, ...]       # sorted type indices of the straggler set
     n_sets: int
     n_tolerable: int
-    removed_virtual: int         # virtual workers lost (same for the multiset)
+    removed_virtual: int   # virtual workers its first enumerated set removes
 
     @property
     def all_tolerable(self) -> bool:
@@ -454,8 +454,6 @@ class PatternEntry:
 
 @dataclass(frozen=True)
 class PatternReport:
-    k_bar: int
-    s_bar: int
     entries: tuple[PatternEntry, ...]
     maximal_tolerable: tuple[tuple[int, ...], ...]
 
@@ -484,7 +482,7 @@ def _check_pattern_guard(n_clients: int, max_stragglers: int) -> None:
             "lower --max-stragglers")
 
 
-def _pattern_report(plan: CodingPlan, buckets: dict) -> PatternReport:
+def _pattern_report(buckets: dict) -> PatternReport:
     """Report from {type multiset: (sets, tolerable sets, removed_virtual)}."""
     entries = tuple(PatternEntry(k, n, t, rv)
                     for k, (n, t, rv) in sorted(buckets.items(),
@@ -492,10 +490,10 @@ def _pattern_report(plan: CodingPlan, buckets: dict) -> PatternReport:
     tolerable = [e.types for e in entries if e.all_tolerable and e.types]
     maximal = tuple(t for t in tolerable if not any(
         u != t and Counter(t) <= Counter(u) for u in tolerable))
-    return PatternReport(plan.k_bar, plan.s_bar, entries, maximal)
+    return PatternReport(entries, maximal)
 
 
-def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
+def resilience_patterns(plan: CodingPlan,
                         max_stragglers: int | None = None) -> PatternReport:
     """Classify straggler sets of physical clients by type multiset.
 
@@ -504,12 +502,12 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
     matrix has full numerical rank.  Straggler sets stream through in chunks
     of RANK_CHUNK, their survivors ranked by one stacked SVD per row count.
     """
-    n_clients = roster.n_clients
+    clients = plan.roster.clients
     if max_stragglers is None:
-        max_stragglers = n_clients
-    _check_pattern_guard(n_clients, max_stragglers)
+        max_stragglers = len(clients)
+    _check_pattern_guard(len(clients), max_stragglers)
     straggler_sets = (combo for size in range(max_stragglers + 1)
-                      for combo in itertools.combinations(roster.clients, size))
+                      for combo in itertools.combinations(clients, size))
     buckets: dict[tuple, list] = {}
     for chunk in _chunks(straggler_sets):
         by_rows: dict[int, list] = {}    # row count -> (pattern key, survivors)
@@ -525,7 +523,7 @@ def resilience_patterns(roster: ClientRoster, plan: CodingPlan,
             rank, _ = _rank_and_cond(plan.G, [rows for _, rows in group])
             for (key, _), r in zip(group, rank):
                 buckets[key][1] += int(r == plan.k_bar)
-    return _pattern_report(plan, buckets)
+    return _pattern_report(buckets)
 
 
 @dataclass(frozen=True)
@@ -540,9 +538,8 @@ class Certificate:
         return self.subsets.ok and not self.unmatched
 
 
-def certify(plan: CodingPlan, roster: ClientRoster,
-            max_stragglers: int | None = None, sample: int | None = None,
-            seed: int = 0) -> Certificate:
+def certify(plan: CodingPlan, max_stragglers: int | None = None,
+            sample: int | None = None, seed: int = 0) -> Certificate:
     """Subset ranks, matchings and straggler patterns of one plan.
 
     Only rank failures are matched: full rank implies a perfect matching.
@@ -553,6 +550,7 @@ def certify(plan: CodingPlan, roster: ClientRoster,
     clients own in the specs.  A sampled or failing report, or one type's
     clients owning different numbers of workers, takes the survey instead.
     """
+    roster = plan.roster
     if max_stragglers is None:
         max_stragglers = min(roster.n_clients, plan.s_bar + 1)
     if max_stragglers < 0:
@@ -564,7 +562,7 @@ def certify(plan: CodingPlan, roster: ClientRoster,
     if not (subsets.exhaustive and subsets.ok) or any(
             len(plan.workers_of(c.id)) != width[c.type_index]
             for c in roster.clients):
-        patterns = resilience_patterns(roster, plan, max_stragglers)
+        patterns = resilience_patterns(plan, max_stragglers)
         return Certificate(subsets, unmatched, patterns, max_stragglers)
     _check_pattern_guard(roster.n_clients, max_stragglers)
     types = Counter(c.type_index for c in roster.clients)
@@ -574,5 +572,5 @@ def certify(plan: CodingPlan, roster: ClientRoster,
             if n := math.prod(math.comb(types[t], key.count(t)) for t in types):
                 lost = sum(width[t] for t in key)
                 buckets[key] = (n, n * (plan.n_bar - lost >= plan.k_bar), lost)
-    return Certificate(subsets, unmatched, _pattern_report(plan, buckets),
+    return Certificate(subsets, unmatched, _pattern_report(buckets),
                        max_stragglers)

@@ -21,8 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import decoding as dec
-from .coding import (ClientRoster, CodingPlan, build_plan, encode,
-                     iter_encoded_blocks)
+from .coding import CodingPlan, encode, iter_encoded_blocks
 from .matrices import PartitionedMatrix, as_matrix, partition_uniform
 
 
@@ -93,8 +92,7 @@ class SimReport:
         return self.decoded.residual if self.decoded is not None else None
 
 
-def privacy_report(plan: CodingPlan,
-                   roster: ClientRoster) -> dict[int, ClientExposure]:
+def privacy_report(plan: CodingPlan) -> dict[int, ClientExposure]:
     """Exact exposure fractions by client id, in units of 1/k_bar.
 
     raw_fraction counts block-columns a client holds uncoded: its own plus
@@ -102,7 +100,7 @@ def privacy_report(plan: CodingPlan,
     of coded blocks it received: the columns it could learn something
     about, not the columns it can read.
     """
-    k_bar = plan.k_bar
+    k_bar, roster = plan.k_bar, plan.roster
     raw = {c.id: {q for q in plan.workers_of(c.id) if q < k_bar}   # its own
            for c in roster.clients}
     coded: dict[int, set] = {c.id: set() for c in roster.clients}
@@ -116,8 +114,8 @@ def privacy_report(plan: CodingPlan,
             for c in roster.clients}
 
 
-def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
-                   comm: CommModel, rng: np.random.Generator, *,
+def simulate_round(plan: CodingPlan, timing: TimingModel, comm: CommModel,
+                   rng: np.random.Generator, *,
                    products: dec.ProductMemo | None = None,
                    late: tuple[int, ...] = ()) -> SimReport:
     """One full round: transfers, compute with stragglers, decode.
@@ -128,6 +126,7 @@ def simulate_round(plan: CodingPlan, roster: ClientRoster, timing: TimingModel,
     solver path.  Clients in ``late`` start their tasks once the last
     on-time client has finished.
     """
+    roster = plan.roster
     if products is not None:
         alpha = products.workload.alpha
         rows = products.workload.coded[0].rows
@@ -289,29 +288,29 @@ class FlResult:
     straggled: tuple[tuple[int, ...], ...]   # per step, clients started late
 
 
-def fl_demo(D, y, roster: ClientRoster, steps: int, seed: int = 0,
-            stragglers_per_round: int = 0, scheme: str = "proposed",
+def fl_demo(D, y, plan: CodingPlan, steps: int, seed: int = 0,
+            stragglers_per_round: int = 0,
             timing: TimingModel = TimingModel()) -> FlResult:
     """Gradient descent where every gradient is decoded from coded products.
 
     The driver keeps the forward pass local and routes the heavy product
     D^T e through one simulate_round per step, with
     ``stragglers_per_round`` clients drawn to start late.  A round that
-    fails to decode is retried with a fresh straggler draw.  The step is
-    0.5/L for the exact gradient Lipschitz constant L (0 when L = 0).
+    fails to decode is retried with a fresh straggler draw; ``seed`` keys
+    those draws and the round timing.  The step is 0.5/L for the exact
+    gradient Lipschitz constant L (0 when L = 0).
     """
     D = as_matrix(D)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != D.rows:
         raise ValueError(f"y has length {y.shape[0]}, expected {D.rows}")
-    plan = build_plan(scheme, roster, seed)
     wl = encode(partition_uniform(D, plan.k_bar), plan)
 
     dense = D.to_dense()
     L = gradient_lipschitz_bound(dense)
     stepsize = 0.5 / L if L > 0 else 0.0
 
-    clients = [c.id for c in roster.clients]
+    clients = [c.id for c in plan.roster.clients]
     rng = np.random.default_rng(seed)            # straggler draws
     round_rng = np.random.default_rng([seed, 1])  # round timing draws
     beta = np.zeros(D.cols)
@@ -328,7 +327,7 @@ def fl_demo(D, y, roster: ClientRoster, steps: int, seed: int = 0,
                 int(c) for c in rng.choice(clients, size=stragglers_per_round,
                                            replace=False)))
             # comm delay shifts every finish alike, never who decodes
-            rep = simulate_round(plan, roster, timing, CommModel(), round_rng,
+            rep = simulate_round(plan, timing, CommModel(), round_rng,
                                  products=products, late=late)
             if rep.decode_ok:
                 break

@@ -67,7 +67,7 @@ def test_criterion_1_exhaustive_resilience_and_decode():
 def test_criterion_2_heterogeneous_pattern_report():
     roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
     plan = cd.build_heterogeneous_plan(roster, seed=5)
-    rep = dec.resilience_patterns(roster, plan)
+    rep = dec.resilience_patterns(plan)
 
     tolerable = {e.types for e in rep.entries if e.all_tolerable}
     over_budget_ok = all(e.n_tolerable == 0 for e in rep.entries
@@ -117,7 +117,7 @@ def test_criterion_4_communication_cost():
 
     def delay(p, comm):
         rng = np.random.default_rng(0)
-        return sim.simulate_round(p, roster, quiet, comm, rng).comm_delay
+        return sim.simulate_round(p, quiet, comm, rng).comm_delay
 
     rng = np.random.default_rng(99)
     dominated = True
@@ -229,13 +229,13 @@ def test_criterion_5c_time_grows_with_density(sparsity_tables):
 def test_criterion_6_privacy_fractions():
     roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
     plan = cd.build_heterogeneous_plan(roster, seed=5)
-    exposure = sim.privacy_report(plan, roster)
+    exposure = sim.privacy_report(plan)
     want = {0: Fraction(4, 7), 1: Fraction(4, 7), 2: Fraction(3, 7),
             3: Fraction(3, 7), 4: Fraction(3, 7)}
     got = {c: exposure[c].raw_fraction for c in want}
 
     dense = cd.build_dense_plan(roster, seed=5)
-    dense_exposure = sim.privacy_report(dense, roster)
+    dense_exposure = sim.privacy_report(dense)
     dense_full = all(dense_exposure[c.id].coded_support_fraction
                      == Fraction(1) for c in roster.clients)
 
@@ -255,8 +255,8 @@ def test_criterion_7_fl_demo_matches_oracle():
     rng = np.random.default_rng(17)
     D = rng.standard_normal((60, 21))
     y = rng.standard_normal(60)
-    roster = cd.make_roster([1] * 7, [1, 1])
-    res = sim.fl_demo(D, y, roster, steps=100, seed=17,
+    plan = cd.build_homogeneous_plan(7, 2, seed=17)
+    res = sim.fl_demo(D, y, plan, steps=100, seed=17,
                       stragglers_per_round=2)
     betas, _ = sim.plain_gd(D, y, 100, res.stepsize)
 

@@ -1,5 +1,7 @@
 """Roster expansion, cyclic plan construction, baselines, and encoding."""
 
+import dataclasses
+import inspect
 import itertools
 import json
 
@@ -389,7 +391,7 @@ def test_encode_handcrafted_systematic_plan():
     specs = (cd.CodedBlockSpec(0, 0, (0,), (1.0,), "unit"),
              cd.CodedBlockSpec(1, 1, (1,), (1.0,), "unit"),
              cd.CodedBlockSpec(2, 2, (0, 1), (1.0, 1.0), "unit"))
-    plan = cd.CodingPlan("proposed", 2, 1, specs, ())
+    plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs, ())
     wl = cd.encode(P, plan)
     np.testing.assert_array_equal(wl.coded[0].to_dense(), P.block(0).to_dense())
     np.testing.assert_array_equal(wl.coded[1].to_dense(), P.block(1).to_dense())
@@ -463,7 +465,7 @@ def test_encoded_cancellation_is_not_stored():
     specs = (cd.CodedBlockSpec(0, 0, (0, 1, 2), (1.0, -1.0, 0.5), "cancel"),
              cd.CodedBlockSpec(1, 1, (2, 0, 1), (0.25, 1.0, 2.0), "mix"),
              cd.CodedBlockSpec(2, 2, (0, 1, 2), (-1.5, 0.75, 1.0), "mix"))
-    plan = cd.CodingPlan("dense", 3, 0, specs, ())
+    plan = cd.CodingPlan("dense", cd.make_roster([1] * 3), specs, ())
     coded = cd.encode(P, plan).coded
     assert coded[0].nnz() == np.count_nonzero(C) < np.count_nonzero(B + C)
     np.testing.assert_array_equal(coded[0].to_dense(), 0.5 * C)
@@ -507,24 +509,24 @@ def test_baseline_dense_single_block_is_scalar_copy():
 def test_plan_json_roundtrip():
     roster = example2_roster()
     plan = cd.build_heterogeneous_plan(roster, seed=21)
-    blob = json.dumps(cd.plan_to_dict(plan, roster))
-    plan2, roster2 = cd.plan_from_dict(json.loads(blob))
+    blob = json.dumps(cd.plan_to_dict(plan))
+    plan2 = cd.plan_from_dict(json.loads(blob))
     assert plan2 == plan
-    assert roster2 == roster
+    assert plan2.roster == roster
 
 
 def test_plan_roundtrip_all_schemes():
     roster = cd.make_roster([1] * 5, [1, 1])
     for scheme in ("proposed", "dense", "poly", "uncoded"):
         plan = cd.build_plan(scheme, roster, seed=3)
-        plan2, _ = cd.plan_from_dict(cd.plan_to_dict(plan, roster))
+        plan2 = cd.plan_from_dict(cd.plan_to_dict(plan))
         assert plan2 == plan
 
 
 def test_plan_from_dict_rejects_malformed():
     roster = cd.make_roster([1, 1], [1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    good = cd.plan_to_dict(plan, roster)
+    good = cd.plan_to_dict(plan)
 
     bad = json.loads(json.dumps(good))
     bad["format"] = "something-else"
@@ -553,7 +555,7 @@ def test_a_support_that_repeats_a_block_is_rejected():
     # residual
     roster = cd.make_roster([1, 1, 1], [1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    d = cd.plan_to_dict(plan, roster)
+    d = cd.plan_to_dict(plan)
     d["workers"][0].update(support=[0, 0], coeffs=[1.0, 2.0])
     with pytest.raises(cd.PlanError, match="worker 0: support repeats a block"):
         cd.plan_from_dict(d)
@@ -564,27 +566,71 @@ def test_a_support_that_repeats_a_block_is_rejected():
         specs = (cd.CodedBlockSpec(0, 0, support, (1.0, 2.0), ""),
                  *plan.specs[1:])
         with pytest.raises(cd.PlanError, match=f"worker 0: {msg}"):
-            cd.CodingPlan("proposed", 3, 1, specs, plan.transfers)
+            cd.CodingPlan("proposed", roster, specs, plan.transfers)
+
+
+# each edit of a plan built in code used to be accepted: a single
+# coefficient was broadcast over worker 0's two blocks in G while the dense
+# encode used block 0 alone, so decoding workers 0-2 gave a wrong A^T x with
+# a residual near 1e-16; worker 3 of client 9 never ran and never straggled
+@pytest.mark.parametrize("edit, msg", [
+    (lambda p: {"specs": (dataclasses.replace(p.specs[0], coeffs=(0.5,)),
+                          *p.specs[1:])},
+     "worker 0: support/coeff length mismatch"),
+    (lambda p: {"specs": (*p.specs[:3],
+                          dataclasses.replace(p.specs[3], owner_client=9))},
+     "worker 3: unknown owner 9"),
+    (lambda p: {"transfers": (dataclasses.replace(p.transfers[0], dst=9),
+                              *p.transfers[1:])},
+     r"transfer endpoints \(1, 9\) out of range"),
+], ids=["coeff-count", "owner", "transfer-endpoint"])
+def test_a_plan_built_in_code_is_checked_like_a_stored_one(edit, msg):
+    plan = cd.build_heterogeneous_plan(cd.make_roster([1, 1, 1], [1]), seed=0)
+    with pytest.raises(cd.PlanError, match=msg):
+        dataclasses.replace(plan, **edit(plan))
+
+
+def test_plan_derives_k_bar_and_s_bar_from_its_roster():
+    roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
+    for scheme, s_bar in [("proposed", 2), ("dense", 2), ("poly", 2),
+                          ("uncoded", 0)]:
+        plan = cd.build_plan(scheme, roster, seed=1)
+        assert plan.roster is roster
+        assert (plan.k_bar, plan.s_bar, plan.n_bar) == (7, s_bar, 7 + s_bar)
+    assert [f.name for f in dataclasses.fields(cd.CodingPlan)] == [
+        "scheme", "roster", "specs", "transfers"]
+    assert cd.build_homogeneous_plan(4, 1).roster == cd.make_roster([1] * 4,
+                                                                    [1])
+
+
+def test_no_function_takes_both_a_plan_and_a_roster():
+    # a plan carries its roster, so no caller can pass one that disagrees
+    from codedfl import cli, config, decoding, matrices, simulate
+    for mod in (cd, decoding, simulate, cli, config, matrices):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            assert not {"plan", "roster"} <= set(params), name
 
 
 def test_plan_is_indexed_by_worker():
     roster = cd.make_roster([1, 1, 1], [1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     assert [s.worker for s in plan.specs] == list(range(plan.n_bar))
-    for k_bar, s_bar, specs, msg in [
-            (3, 1, plan.specs[::-1], "spec 0 is for worker 3"),
-            (0, 0, (), "k_bar >= 1"),
-            (3, -1, plan.specs[:2], "s_bar >= 0")]:
+    no_actives = cd.ClientRoster((), 1, 1.0)
+    for roster, specs, msg in [
+            (roster, plan.specs[::-1], "spec 0 is for worker 3"),
+            (no_actives, (), "k_bar >= 1"),
+            (roster, plan.specs[:2], "s_bar >= 0")]:
         with pytest.raises(cd.PlanError, match=msg):
-            cd.CodingPlan("proposed", k_bar, s_bar, specs, ())
+            cd.CodingPlan("proposed", roster, specs, ())
 
 
 def test_plan_from_dict_takes_workers_in_any_order():
     roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
     plan = cd.build_heterogeneous_plan(roster, seed=4)
-    d = cd.plan_to_dict(plan, roster)
+    d = cd.plan_to_dict(plan)
     d["workers"].reverse()
-    plan2, _ = cd.plan_from_dict(d)
+    plan2 = cd.plan_from_dict(d)
     assert all(plan2.specs[w].worker == w for w in range(plan2.n_bar))
     assert plan2 == plan
     # a repeated worker leaves another one out
@@ -598,8 +644,8 @@ def test_plan_from_dict_accepts_tampered_coeffs():
     # the layer that must flag them
     roster = cd.make_roster([1, 1, 1], [1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    d = cd.plan_to_dict(plan, roster)
+    d = cd.plan_to_dict(plan)
     d["workers"][1]["coeffs"] = list(d["workers"][0]["coeffs"])
     d["workers"][1]["support"] = list(d["workers"][0]["support"])
-    plan2, _ = cd.plan_from_dict(d)
+    plan2 = cd.plan_from_dict(d)
     assert plan2.specs[1].coeffs == plan2.specs[0].coeffs

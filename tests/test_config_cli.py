@@ -204,9 +204,9 @@ def test_plan_writes_files_and_round_trips(tmp_path):
     out = tmp_path / "out"
     for scheme in ("proposed", "dense"):
         doc = json.loads((out / f"plan_{scheme}.json").read_text())
-        plan, roster = cd.plan_from_dict(doc)
+        plan = cd.plan_from_dict(doc)
         assert plan.scheme == scheme
-        assert plan.k_bar == 7 and roster.n_clients == 7
+        assert plan.k_bar == 7 and plan.roster.n_clients == 7
         text = (out / f"allocation_{scheme}.txt").read_text()
         assert "W_0 (active, type 1, c=2)" in text
     manifest = json.loads((out / "manifest.json").read_text())
@@ -295,7 +295,7 @@ def test_verify_stored_plan_and_tampered_plan(tmp_path):
     assert cli.main(["verify", "--plan", str(tampered),
                      "--out", str(tmp_path / "v3")]) == 3
     rep = json.loads((tmp_path / "v3" / "resilience.json").read_text())
-    plan, _ = cd.plan_from_dict(doc)
+    plan = cd.plan_from_dict(doc)
     subsets = list(itertools.combinations(range(plan.n_bar), plan.k_bar))
     explicit = [list(s) for s in subsets
                 if not dec.check_hall_condition(plan, s).perfect]
@@ -351,7 +351,7 @@ def test_verify_stored_plan_with_config_uses_its_out_and_seed(tmp_path,
     cfg = write_config(tmp_path, example_doc(out, schemes=["proposed"]))
     assert cli.main(["plan", "--config", cfg]) == 0
     plan_file = out / "plan_proposed.json"
-    plan, _ = cd.plan_from_dict(json.loads(plan_file.read_text()))
+    plan = cd.plan_from_dict(json.loads(plan_file.read_text()))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["verify", "--plan", str(plan_file), "--config", cfg,
                      "--sample", "5"]) == 0
@@ -667,9 +667,18 @@ def _without(key):
     # it used to load, and its rounds decoded a wrong A^T x
     (lambda d: d["workers"][0].update(support=[0, 0], coeffs=[1.0, 2.0])
      or d, "support repeats a block"),
+    # k_bar and s_bar are derived from the roster and the workers
+    (lambda d: d.update(k_bar=6, s_bar=3) or d, "stored k_bar=6, s_bar=3"),
+    (lambda d: d["workers"][0].update(coeffs=[1.0]) or d,
+     "worker 0: support/coeff length mismatch"),
+    (lambda d: d["workers"][3].update(owner=9) or d,
+     "worker 3: unknown owner 9"),
+    (lambda d: d["transfers"][0].update(dst=9) or d,
+     "transfer endpoints (1, 9) out of range"),
 ], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
         "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme",
-        "repeated-block"])
+        "repeated-block", "stored-k_bar", "coeff-count", "owner",
+        "transfer-endpoint"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
     # exit 1 is a diverging descent; a bad plan file is a config error
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",
@@ -687,7 +696,7 @@ def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
 
 def test_verify_stored_plan_with_workers_reversed(tmp_path):
     roster = cd.make_roster([1] * 6, [1] * 2)
-    doc = cd.plan_to_dict(cd.build_heterogeneous_plan(roster, seed=0), roster)
+    doc = cd.plan_to_dict(cd.build_heterogeneous_plan(roster, seed=0))
     outputs = []
     for name in ("in-order", "reversed"):
         path = tmp_path / f"{name}.json"

@@ -49,7 +49,7 @@ def test_decode_systematic_toy_by_subtraction():
     specs = (cd.CodedBlockSpec(0, 0, (0,), (1.0,), "unit"),
              cd.CodedBlockSpec(1, 1, (1,), (1.0,), "unit"),
              cd.CodedBlockSpec(2, 2, (0, 1), (1.0, 1.0), "unit"))
-    plan = cd.CodingPlan("proposed", 2, 1, specs, ())
+    plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs, ())
     wl = cd.encode(P, plan)
     x = rng(4).standard_normal(7)
     problem = dec.problem_from_workload(wl, x, [0, 2])   # worker 1 straggles
@@ -213,7 +213,7 @@ def tampered_plan():
     """A 3+1 plan whose worker 3 duplicates worker 0's row."""
     roster = cd.make_roster([1, 1, 1], [1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    d = cd.plan_to_dict(plan, roster)
+    d = cd.plan_to_dict(plan)
     d["workers"][3]["support"] = list(d["workers"][0]["support"])
     d["workers"][3]["coeffs"] = list(d["workers"][0]["coeffs"])
     return cd.plan_from_dict(d)
@@ -226,8 +226,7 @@ def with_row(plan, worker, row):
         cd.CodedBlockSpec(s.worker, s.owner_client, support,
                           tuple(float(row[j]) for j in support), "tampered")
         if s.worker == worker else s for s in plan.specs)
-    return cd.CodingPlan(plan.scheme, plan.k_bar, plan.s_bar, specs,
-                         plan.transfers)
+    return cd.CodingPlan(plan.scheme, plan.roster, specs, plan.transfers)
 
 
 def test_check_all_subsets_fig1_exhaustive():
@@ -253,7 +252,7 @@ def test_check_all_subsets_identity_plan():
 
 
 def test_check_all_subsets_flags_duplicate_rows():
-    tampered, _ = tampered_plan()
+    tampered = tampered_plan()
     report = dec.check_all_subsets(tampered)
     assert not report.ok
     assert (0, 1, 2) not in report.failures
@@ -294,11 +293,12 @@ def rank_deficient_plan():
 
 
 def square_dense_plan(k):
-    """k blocks, 2k random dense rows: s_bar = k_bar, which no roster gives."""
+    """k blocks, 2k random dense rows on k clients: s_bar = k_bar, which no
+    builder gives."""
     G = rng(k).uniform(-1, 1, size=(2 * k, k))
-    specs = tuple(cd.CodedBlockSpec(w, w, tuple(range(k)), tuple(G[w]), "test")
-                  for w in range(2 * k))
-    return cd.CodingPlan("dense", k, k, specs, ())
+    specs = tuple(cd.CodedBlockSpec(w, w % k, tuple(range(k)), tuple(G[w]),
+                                    "test") for w in range(2 * k))
+    return cd.CodingPlan("dense", cd.make_roster([1] * k), specs, ())
 
 
 @pytest.mark.parametrize("setup", [
@@ -393,7 +393,7 @@ def test_resilience_report_roundtrips_to_dict():
     assert d["subsets_ranked"] == report.subsets_ranked
     assert "min_cond" not in d
     # with no full-rank subset there is no worst one
-    twins = cd.CodingPlan("dense", 2, 1, tuple(
+    twins = cd.CodingPlan("dense", cd.make_roster([1, 1], [1]), tuple(
         cd.CodedBlockSpec(w, w, (0, 1), (1.0, 1.0), "twin") for w in range(3)),
         ())
     d = dec.check_all_subsets(twins).to_dict()
@@ -450,7 +450,7 @@ def test_matching_implies_rank_on_fig1():
     # full rank implies an explicit perfect matching, which is what lets
     # verify skip the matching search on full-rank subsets
     hetero = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
-    plans = [tampered_plan()[0], cd.build_heterogeneous_plan(hetero, seed=1)]
+    plans = [tampered_plan(), cd.build_heterogeneous_plan(hetero, seed=1)]
     for plan in plans:
         G = plan.G
         seen_failure = False
@@ -520,7 +520,7 @@ def test_resilience_is_tight_beyond_s():
 def example2_patterns():
     roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    return dec.resilience_patterns(roster, plan)
+    return dec.resilience_patterns(plan)
 
 
 def test_example2_pattern_report():
@@ -554,29 +554,43 @@ def test_example2_pattern_description_lines():
     assert any(l.startswith("1x type-0, 1x type-1: not tolerable") for l in lines)
 
 
+def test_removed_virtual_is_the_first_sets_count():
+    # under uncoded the README roster's type-0 clients are three actives of
+    # one worker each and two passives of none: the two tolerable sets are
+    # the passives, which remove no worker, while the entry reports the
+    # first set in enumeration order, active client 2, which removes one
+    plan = cd.build_uncoded_plan(cd.make_roster([2, 2, 1, 1, 1], [1, 1]))
+    patterns = dec.certify(plan).patterns
+    e = patterns.entry((0,))
+    assert (e.n_sets, e.n_tolerable, e.removed_virtual) == (5, 2, 1)
+    assert ("1x type-0: not tolerable (2/5 sets) (removes 1 virtual workers)"
+            in patterns.describe())
+
+
 def test_homogeneous_two_client_patterns():
     roster = cd.make_roster([1] * 10, [1] * 2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    report = dec.resilience_patterns(roster, plan, max_stragglers=2)
+    report = dec.resilience_patterns(plan, max_stragglers=2)
     assert report.entry((0, 0)).n_sets == 66
     assert report.entry((0, 0)).all_tolerable
     # all 2^21 straggler sets of 21 clients exceed the enumeration guard
     big = cd.make_roster([1] * 19, [1] * 2)
     with pytest.raises(dec.SubsetGuardError):
-        dec.resilience_patterns(big, cd.build_heterogeneous_plan(big, seed=0))
+        dec.resilience_patterns(cd.build_heterogeneous_plan(big, seed=0))
 
 
 def twelve_client_plan():
     """2^12 straggler sets (two chunks) leaving 14, 13, 12 or fewer rows."""
     roster = cd.make_roster([2, 2] + [1] * 8, [1, 1])
-    return cd.build_heterogeneous_plan(roster, seed=2), roster
+    return cd.build_heterogeneous_plan(roster, seed=2)
 
 
 @pytest.mark.parametrize("setup", [tampered_plan, twelve_client_plan])
 def test_patterns_match_per_set_rank(setup):
     # the batched survey equals a matrix_rank call per straggler set
-    plan, roster = setup()
-    report = dec.resilience_patterns(roster, plan)
+    plan = setup()
+    roster = plan.roster
+    report = dec.resilience_patterns(plan)
     G = plan.G
     owned = {c.id: [s.worker for s in plan.specs if s.owner_client == c.id]
              for c in roster.clients}
@@ -653,23 +667,23 @@ def test_certify_counts_what_the_survey_ranks(survey_calls, active, passive,
                                               scheme, seed, max_stragglers):
     roster = cd.make_roster(active, passive)
     plan = cd.build_plan(scheme, roster, seed)
-    cert = dec.certify(plan, roster, max_stragglers)
+    cert = dec.certify(plan, max_stragglers)
     if max_stragglers is None:
         assert cert.max_stragglers == min(roster.n_clients, plan.s_bar + 1)
     assert cert.ok and cert.subsets.exhaustive
-    assert cert.patterns == SURVEY(roster, plan, cert.max_stragglers)
+    assert cert.patterns == SURVEY(plan, cert.max_stragglers)
     # uncoded passives own no workers while actives of their type do
     assert bool(survey_calls) == (scheme == "uncoded")
 
 
 def readme_plan():
     roster = cd.make_roster([2, 2, 1, 1, 1], [1, 1])
-    return cd.build_heterogeneous_plan(roster, seed=7), roster
+    return cd.build_heterogeneous_plan(roster, seed=7)
 
 
 def moved_owner_plan():
     """The README plan with worker 0 handed from client 0 to client 2."""
-    d = cd.plan_to_dict(*readme_plan())
+    d = cd.plan_to_dict(readme_plan())
     d["workers"][0]["owner"] = 2
     return cd.plan_from_dict(d)
 
@@ -678,10 +692,10 @@ def moved_owner_plan():
     (readme_plan, 25), (tampered_plan, None), (moved_owner_plan, None)],
     ids=["sampled", "duplicate-row", "moved-owner"])
 def test_certify_surveys_what_it_cannot_count(survey_calls, setup, sample):
-    plan, roster = setup()
-    cert = dec.certify(plan, roster, sample=sample)
+    plan = setup()
+    cert = dec.certify(plan, sample=sample)
     assert len(survey_calls) == 1
-    assert cert.patterns == SURVEY(roster, plan, cert.max_stragglers)
+    assert cert.patterns == SURVEY(plan, cert.max_stragglers)
     if setup is moved_owner_plan:
         # a clean report, but the type-1 clients own 1 and 2 workers:
         # counting by multiplier would call all ten weak pairs tolerable
@@ -693,12 +707,12 @@ def test_certify_surveys_what_it_cannot_count(survey_calls, setup, sample):
 def test_certify_matches_only_rank_failures():
     # rows 1 and 8 take row 0's support, row 1 its coefficients too: four
     # rows on three columns fail Hall's condition
-    d = cd.plan_to_dict(*readme_plan())
+    d = cd.plan_to_dict(readme_plan())
     for w in (1, 8):
         d["workers"][w]["support"] = d["workers"][0]["support"]
     d["workers"][1]["coeffs"] = d["workers"][0]["coeffs"]
-    plan, roster = cd.plan_from_dict(d)
-    cert = dec.certify(plan, roster)
+    plan = cd.plan_from_dict(d)
+    cert = dec.certify(plan)
     explicit = tuple(
         s for s in itertools.combinations(range(plan.n_bar), plan.k_bar)
         if not dec.check_hall_condition(plan, s).perfect)
@@ -731,9 +745,9 @@ def test_check_all_subsets_rejects_negative_sample():
 def test_certify_rejects_an_empty_sample():
     # a sample of no subsets would certify a plan without checking it
     with pytest.raises(ValueError, match="sample must be >= 1, got 0"):
-        dec.certify(*readme_plan(), sample=0)
+        dec.certify(readme_plan(), sample=0)
 
 
 def test_certify_rejects_negative_max_stragglers():
     with pytest.raises(ValueError, match="max_stragglers must be >= 0"):
-        dec.certify(*readme_plan(), max_stragglers=-1)
+        dec.certify(readme_plan(), max_stragglers=-1)

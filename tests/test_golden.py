@@ -2,7 +2,8 @@
 that the benchmark's toy configs and the README config write, and the exit
 code of every command, as committed in golden.json.  The README config
 runs with its own schemes and once each with ``--scheme poly`` and
-``--scheme uncoded``.
+``--scheme uncoded``, and ``verify --plan`` reads back each seed's stored
+dense plan.
 
 Every command runs in-process through ``cli.main``.  A change that means
 to change outputs regenerates the file with
@@ -65,6 +66,12 @@ def _cases(tmp: Path):
             yield case, out, [["plan", *common], ["verify", *common],
                               ["simulate", *common, "--require-decode"],
                               ["fl-demo", *common, "--check"]]
+    # a stored plan of a scheme other than proposed, read back by verify
+    for seed in README_SEEDS:
+        case = f"readme/plan=dense/seed={seed}"
+        stored = tmp / f"readme/seed={seed}" / "plan_dense.json"
+        yield case, tmp / case, [["verify", "--plan", str(stored),
+                                  "--out", str(tmp / case)]]
 
 
 def digests(tmp: Path) -> dict:

@@ -159,7 +159,9 @@ def test_sparse_is_immutable():
     twins = mx.partition_uniform(mx.SparseMatrix(sp.hstack(
         [P.block(0).m, P.block(0).m, P.block(1).m])), 3)
     spec = cd.CodedBlockSpec(0, 0, (0, 1, 2), (1.0, -1.0, 0.5), "cancel")
-    cancelled = cd.encode(twins, cd.CodingPlan("dense", 3, 0, (spec,), ()))
+    others = cd.build_uncoded_plan(roster).specs[1:]
+    cancelled = cd.encode(twins, cd.CodingPlan("dense", roster, (spec, *others),
+                                               ()))
     cases = [S, P.block(1), *dense, narrow, cancelled.coded[0]]
     for M in cases:
         for part in (M.m.data, M.m.indices, M.m.indptr):

@@ -26,9 +26,9 @@ def test_transfer_counts_proposed_vs_dense():
     roster = table1_rosters()
     prop = cd.build_heterogeneous_plan(roster, seed=0)
     dense = cd.build_dense_plan(roster, seed=0)
-    r1 = sim.simulate_round(prop, roster, sim.TimingModel(noise=0),
+    r1 = sim.simulate_round(prop, sim.TimingModel(noise=0),
                             sim.CommModel(), rng(1))
-    r2 = sim.simulate_round(dense, roster, sim.TimingModel(noise=0),
+    r2 = sim.simulate_round(dense, sim.TimingModel(noise=0),
                             sim.CommModel(), rng(1))
     assert len(prop.raw_transfers()) == 36 and len(prop.coded_transfers()) == 2
     assert len(dense.raw_transfers()) == 342 and len(dense.coded_transfers()) == 0
@@ -46,9 +46,9 @@ def test_delay_dominance_any_nonnegative_comm_model():
                              per_byte_cost=float(g.uniform(0, 1e-6)),
                              bytes_per_element=float(g.uniform(1, 16)),
                              broadcast_cost=float(g.uniform(0, 2)))
-        d1 = sim.simulate_round(prop, roster, sim.TimingModel(noise=0), comm,
+        d1 = sim.simulate_round(prop, sim.TimingModel(noise=0), comm,
                                 rng(3)).comm_delay
-        d2 = sim.simulate_round(dense, roster, sim.TimingModel(noise=0), comm,
+        d2 = sim.simulate_round(dense, sim.TimingModel(noise=0), comm,
                                 rng(3)).comm_delay
         assert d1 <= d2
 
@@ -69,8 +69,8 @@ def test_zero_noise_completion_is_deterministic():
     roster = cd.make_roster([1] * 6, [1] * 2, base_width=5, base_speed=2.0)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     comm = sim.CommModel(per_byte_cost=0.0)
-    a = sim.simulate_round(plan, roster, sim.TimingModel(noise=0), comm, rng(4))
-    b = sim.simulate_round(plan, roster, sim.TimingModel(noise=0), comm, rng(99))
+    a = sim.simulate_round(plan, sim.TimingModel(noise=0), comm, rng(4))
+    b = sim.simulate_round(plan, sim.TimingModel(noise=0), comm, rng(99))
     # alpha/beta = 5/2 per worker, no comm cost
     assert a.completion_time == pytest.approx(2.5)
     assert a.completion_time == b.completion_time
@@ -81,7 +81,7 @@ def test_comm_delay_shifts_every_finish_time():
     roster = cd.make_roster([1] * 4, [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     comm = sim.CommModel(link_latency=1.0, per_byte_cost=0.0)
-    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=0), comm, rng(5))
+    rep = sim.simulate_round(plan, sim.TimingModel(noise=0), comm, rng(5))
     # 4*1 raw + 1 coded transfers, one time unit each
     assert rep.comm_delay == pytest.approx(5.0)
     assert min(rep.compute_finish.values()) >= rep.comm_delay
@@ -91,7 +91,7 @@ def test_virtual_workers_run_sequentially():
     # one client with multiplier 3 owns three workers finishing in sequence
     roster = cd.make_roster([3, 1], [1], base_width=6)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=0),
+    rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
                              sim.CommModel(per_byte_cost=0.0), rng(6))
     # per-task time for the multiplier-3 client is 6/3 = 2
     assert rep.compute_finish[0] == pytest.approx(2.0)
@@ -106,7 +106,7 @@ def test_explicit_failures_are_coupled():
     roster = cd.make_roster([2, 1, 1], [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     timing = sim.TimingModel(noise=0, failed_clients=(0,))
-    rep = sim.simulate_round(plan, roster, timing, sim.CommModel(), rng(7))
+    rep = sim.simulate_round(plan, timing, sim.CommModel(), rng(7))
     assert rep.failed_clients == (0,)
     owned = {s.worker for s in plan.specs if s.owner_client == 0}
     assert owned and not owned & set(rep.compute_finish)
@@ -115,12 +115,12 @@ def test_explicit_failures_are_coupled():
 def test_two_stragglers_decode_three_do_not():
     roster = cd.make_roster([1] * 10, [1] * 2, base_width=3)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    ok = sim.simulate_round(plan, roster,
+    ok = sim.simulate_round(plan,
                             sim.TimingModel(noise=0, failed_clients=(3, 7)),
                             sim.CommModel(), rng(8))
     assert ok.decode_ok and ok.decode_error is None
     assert ok.decode_residual <= dec.DECODE_TOL
-    bad = sim.simulate_round(plan, roster,
+    bad = sim.simulate_round(plan,
                              sim.TimingModel(noise=0, failed_clients=(3, 7, 9)),
                              sim.CommModel(), rng(9))
     assert not bad.decode_ok
@@ -131,9 +131,9 @@ def test_two_stragglers_decode_three_do_not():
 def test_late_clients_finish_after_on_time_ones_and_still_decode():
     # clients 0 (multiplier 2) and 5 (passive) hold three virtual workers,
     # one more than s_bar = 2, so decoding needs one late product
-    roster, plan = example2()
+    _, plan = example2()
     late = (0, 5)
-    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=0),
+    rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
                              sim.CommModel(), rng(15), late=late)
     owner = {s.worker: s.owner_client for s in plan.specs}
     on_time = [t for w, t in rep.compute_finish.items() if owner[w] not in late]
@@ -151,8 +151,8 @@ def test_probabilistic_failures_use_rng():
     roster = cd.make_roster([1] * 8, [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     timing = sim.TimingModel(noise=0, failure_prob=0.5)
-    rep = sim.simulate_round(plan, roster, timing, sim.CommModel(), rng(10))
-    rep2 = sim.simulate_round(plan, roster, timing, sim.CommModel(), rng(10))
+    rep = sim.simulate_round(plan, timing, sim.CommModel(), rng(10))
+    rep2 = sim.simulate_round(plan, timing, sim.CommModel(), rng(10))
     assert rep.failed_clients == rep2.failed_clients   # same stream, same draw
     assert 0 < len(rep.failed_clients) < 9
 
@@ -163,7 +163,7 @@ def test_simulate_with_real_workload():
     A = mx.random_dense(9, 18, rng(11))
     wl = cd.encode(mx.partition_uniform(A, 6), plan)
     x = rng(12).standard_normal(9)
-    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=1.0),
+    rep = sim.simulate_round(plan, sim.TimingModel(noise=1.0),
                              sim.CommModel(), rng(13),
                              products=dec.ProductMemo(wl, x))
     assert rep.decode_ok
@@ -190,7 +190,7 @@ def test_rounds_sharing_a_memo_compute_each_product_once(monkeypatch):
     memo = dec.ProductMemo(wl, x)
     used = []
     for t in range(20):
-        rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=1.0),
+        rep = sim.simulate_round(plan, sim.TimingModel(noise=1.0),
                                  sim.CommModel(), rng(t), products=memo)
         used.append(rep.decoded.used_workers)
         # a memo decode equals the decode of a freshly computed problem
@@ -206,7 +206,7 @@ def test_task_times_follow_the_roster():
     # and passive clients; the c=2 client's tasks run one after another
     roster = cd.make_roster([2, 1], [1], base_width=4)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    rep = sim.simulate_round(plan, roster, sim.TimingModel(noise=0),
+    rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
                              sim.CommModel(per_byte_cost=0.0), rng(14))
     assert rep.compute_finish == pytest.approx({0: 2.0, 1: 4.0, 2: 4.0, 3: 4.0})
 
@@ -220,8 +220,8 @@ def example2():
 
 
 def test_privacy_example2_exact_fractions():
-    roster, plan = example2()
-    exp = sim.privacy_report(plan, roster)
+    _, plan = example2()
+    exp = sim.privacy_report(plan)
     want = {0: Fraction(4, 7), 1: Fraction(4, 7), 2: Fraction(3, 7),
             3: Fraction(3, 7), 4: Fraction(3, 7)}
     for cid, frac in want.items():
@@ -236,7 +236,7 @@ def test_privacy_example2_exact_fractions():
 def test_privacy_homogeneous_fraction():
     roster = cd.make_roster([1] * 10, [1] * 2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    exp = sim.privacy_report(plan, roster)
+    exp = sim.privacy_report(plan)
     for c in roster.actives():
         assert exp[c.id].raw_fraction == Fraction(3, 10)
 
@@ -244,7 +244,7 @@ def test_privacy_homogeneous_fraction():
 def test_privacy_dense_baseline_total_exposure():
     roster, _ = example2()
     plan = cd.build_dense_plan(roster, seed=0)
-    exp = sim.privacy_report(plan, roster)
+    exp = sim.privacy_report(plan)
     for e in exp.values():
         assert e.coded_support_fraction == 1
         assert e.raw_fraction == 1
@@ -256,7 +256,7 @@ def test_privacy_dominance_bound():
                        ([3, 2, 1], [1])):
         roster = cd.make_roster(mults, pas)
         plan = cd.build_heterogeneous_plan(roster, seed=2)
-        exp = sim.privacy_report(plan, roster)
+        exp = sim.privacy_report(plan)
         for c in roster.clients:
             own = sum(cc.multiplier for cc in roster.actives() if cc.id == c.id)
             bound = Fraction(own + plan.s_bar, plan.k_bar)
@@ -269,7 +269,7 @@ def test_privacy_dominance_bound():
 
 def test_privacy_uncoded_plan_sees_only_own_blocks():
     roster = cd.make_roster([1] * 5, [1])
-    exp = sim.privacy_report(cd.build_uncoded_plan(roster), roster)
+    exp = sim.privacy_report(cd.build_uncoded_plan(roster))
     for c in roster.actives():
         assert exp[c.id].raw_fraction == Fraction(1, 5)
 
@@ -343,8 +343,8 @@ def test_fl_demo_matches_uncoded_oracle(active, passive, rows, cols, seed):
     g = rng(19)
     D = mx.random_dense(rows, cols, g)
     y = g.standard_normal(rows)
-    roster = cd.make_roster(active, passive)
-    res = sim.fl_demo(D, y, roster, steps=40, seed=seed, stragglers_per_round=2)
+    plan = cd.build_heterogeneous_plan(cd.make_roster(active, passive), seed)
+    res = sim.fl_demo(D, y, plan, steps=40, seed=seed, stragglers_per_round=2)
     betas, losses = sim.plain_gd(D, y, 40, res.stepsize)
     for t in range(41):
         scale = max(np.linalg.norm(betas[t]), 1.0)
@@ -361,7 +361,7 @@ def _fl_demo_with_a_retry_every_step(monkeypatch, memo: bool):
     g = rng(19)
     D = mx.random_dense(30, 12, g)
     y = g.standard_normal(30)
-    roster = cd.make_roster([1] * 6, [1] * 2)
+    plan = cd.build_homogeneous_plan(6, 2, seed=20)
     products = []
     matvec_t = mx.DenseMatrix.matvec_t
 
@@ -383,7 +383,7 @@ def _fl_demo_with_a_retry_every_step(monkeypatch, memo: bool):
         monkeypatch.setattr(dec.ProductMemo, "problem", lambda self, workers:
                             dec.problem_from_workload(self.workload, self.x,
                                                       workers))
-    res = sim.fl_demo(D, y, roster, steps=15, seed=20, stragglers_per_round=2)
+    res = sim.fl_demo(D, y, plan, steps=15, seed=20, stragglers_per_round=2)
     monkeypatch.undo()
     return res, products
 
@@ -404,8 +404,8 @@ def test_fl_demo_identity_converges_to_target():
     # every step
     y = rng(21).standard_normal(8)
     D = mx.DenseMatrix(np.eye(8))
-    roster = cd.make_roster([1] * 4, [1])
-    res = sim.fl_demo(D, y, roster, steps=120, seed=22)
+    plan = cd.build_homogeneous_plan(4, 1, seed=22)
+    res = sim.fl_demo(D, y, plan, steps=120, seed=22)
     assert res.stepsize == 0.25
     np.testing.assert_allclose(res.betas[-1], y, atol=1e-8)
     assert res.losses[-1] <= 1e-12
@@ -415,19 +415,19 @@ def test_fl_demo_zero_matrix_takes_no_step():
     # L = 0 gives a step of 0, not a division by zero
     g = rng(23)
     D = mx.DenseMatrix(np.zeros((10, 6)))
-    roster = cd.make_roster([1, 1, 1], [1])
-    res = sim.fl_demo(D, g.standard_normal(10), roster, steps=5)
+    plan = cd.build_homogeneous_plan(3, 1)
+    res = sim.fl_demo(D, g.standard_normal(10), plan, steps=5)
     assert res.lipschitz == 0.0 and res.stepsize == 0.0
     assert np.all(res.betas == 0)
 
 
 def test_fl_demo_rejects_bad_shapes():
     g = rng(25)
-    roster = cd.make_roster([1, 1, 1], [1])
+    plan = cd.build_homogeneous_plan(3, 1)
     with pytest.raises(ValueError):
-        sim.fl_demo(mx.random_dense(10, 7, g), g.standard_normal(10), roster, 3)
+        sim.fl_demo(mx.random_dense(10, 7, g), g.standard_normal(10), plan, 3)
     with pytest.raises(ValueError):
-        sim.fl_demo(mx.random_dense(10, 6, g), g.standard_normal(9), roster, 3)
+        sim.fl_demo(mx.random_dense(10, 6, g), g.standard_normal(9), plan, 3)
 
 
 def test_lipschitz_bound_is_exact():
