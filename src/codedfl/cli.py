@@ -63,7 +63,8 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(out_dir: Path, cfg_hash: str, seed: int, outputs) -> None:
+def _write_manifest(out_dir: Path, cfg_hash: str | None, seed: int,
+                    outputs) -> None:
     doc = {
         "config_hash": cfg_hash,
         "seed": seed,
@@ -190,9 +191,13 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
             "lines": patterns.describe(),
         },
     }
-    with open(_out_dir(out) / "resilience.json", "w") as fh:
+    path = _out_dir(out) / "resilience.json"
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    # a stored plan read on its own has no config to hash
+    _write_manifest(path.parent, None if cfg is None else cfg.config_hash(),
+                    seed, [path])
 
     print(f"subsets: {n - len(report.failures)}/{n} full rank "
           f"({'exhaustive' if report.exhaustive else 'sampled'}; "

@@ -1,23 +1,27 @@
 """Worker assignment and encoding for straggler-resilient coded products.
 
 A roster of physical clients (active clients generate block-columns,
-passive ones only compute) is expanded into virtual workers of a
-homogeneous system: a client with multiplier c owns c virtual workers and
-c generated blocks.  The proposed cyclic scheme gives virtual worker i the
-support S_i = {i, i+1, ..., i+w-1} mod k_bar with weight w = s_bar + 1;
-passive worker k_bar + i reuses S_i with independent coefficients.  Worker
-i already holds block i, so it receives the remaining w - 1 blocks raw
-over D2D links; each passive client receives one ready-made coded block
-instead of any raw data.
+passive ones only compute) expands into virtual workers of a homogeneous
+system: a client with multiplier c owns c consecutive virtual workers,
+actives first (``roster.owner``), and an active one generates c blocks.
+The proposed cyclic scheme gives virtual worker i the support S_i = {i,
+i+1, ..., i+w-1} mod k_bar with weight w = s_bar + 1; passive worker
+k_bar + i reuses S_i with independent coefficients.  Worker i already
+holds block i, so it receives the remaining w - 1 blocks raw over D2D
+links; each passive client receives one ready-made coded block instead of
+any raw data.
 
 Every builder, baselines (dense random, polynomial, uncoded) included,
 returns a CodingPlan that carries its roster, so downstream analysis is
-scheme-blind and takes the plan alone.  The plan derives k_bar and s_bar
-and checks its own structure when it is made, however it was built.
+scheme-blind and takes the plan alone.  A plan's workers are the first
+n_bar of its roster's virtual workers: spec w holds worker w's support,
+coefficients and tag, and roster.owner[w] runs it.  The plan derives k_bar
+and s_bar and checks its own structure when it is made, however built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -84,6 +88,18 @@ class ClientRoster:
     def n_clients(self) -> int:
         return len(self.clients)
 
+    @cached_property
+    def owner(self) -> tuple[int, ...]:
+        """Client id of each virtual worker: actives first, in roster order,
+        a client of multiplier c owning c consecutive workers."""
+        return tuple(c.id for c in self.actives() + self.passives()
+                     for _ in range(c.multiplier))
+
+    @cached_property
+    def k_bar(self) -> int:
+        """Virtual workers of the actives, one generated block each."""
+        return sum(c.multiplier for c in self.actives())
+
 
 def make_roster(active_multipliers, passive_multipliers=(),
                 base_width: int = 1, base_speed: float = 1.0) -> ClientRoster:
@@ -111,8 +127,8 @@ def make_roster(active_multipliers, passive_multipliers=(),
                 f"{act.count(c)} active of that type")
     if base_width < 1:
         raise RosterError(f"base_width must be >= 1, got {base_width}")
-    if base_speed <= 0:
-        raise RosterError(f"base_speed must be > 0, got {base_speed}")
+    if not 0 < base_speed < math.inf:    # NaN fails too
+        raise RosterError(f"base_speed must be finite and > 0, got {base_speed}")
     types = {c: j for j, c in enumerate(sorted(set(act + pas)))}
     clients = []
     for c in act:
@@ -122,30 +138,11 @@ def make_roster(active_multipliers, passive_multipliers=(),
     return ClientRoster(tuple(clients), base_width, float(base_speed))
 
 
-def expand_heterogeneous(roster: ClientRoster):
-    """Expand a roster into virtual workers of the weakest type.
-
-    Returns (k_bar, s_bar, owner) where owner[v] is the physical client id
-    of virtual worker v; actives occupy 0..k_bar-1 in roster order (so the
-    owner of virtual block q is owner[q]), passives k_bar..n_bar-1.
-    """
-    owner = []
-    for c in roster.actives():
-        owner.extend([c.id] * c.multiplier)
-    k_bar = len(owner)
-    for c in roster.passives():
-        owner.extend([c.id] * c.multiplier)
-    s_bar = len(owner) - k_bar
-    return k_bar, s_bar, tuple(owner)
-
-
 # ---------------------------------------------------------------------------
 # plans
 
 @dataclass(frozen=True)
 class CodedBlockSpec:
-    worker: int
-    owner_client: int
     support: tuple[int, ...]   # block indices, aligned with coeffs
     coeffs: tuple[float, ...]
     seed_tag: str
@@ -163,8 +160,9 @@ class Transfer:
 class CodingPlan:
     """A scheme's coded blocks and transfers over its roster.
 
-    specs[w] is worker w's spec; k_bar and s_bar are derived, not stored.
-    Every structural rule is checked here, for built and stored plans alike.
+    specs[w] is worker w's spec, and roster.owner[w] runs it; k_bar and
+    s_bar are derived, not stored.  Every structural rule is checked here,
+    for built and stored plans alike.
     """
     scheme: str                # one of SCHEMES
     roster: ClientRoster
@@ -175,15 +173,13 @@ class CodingPlan:
         if self.scheme not in SCHEMES:
             raise PlanError(f"unknown scheme {self.scheme!r}; expected one of "
                             f"{', '.join(SCHEMES)}")
-        k_bar, n_bar = self.k_bar, self.n_bar
-        if k_bar < 1 or self.s_bar < 0:
-            raise PlanError(f"need k_bar >= 1 and s_bar >= 0, got "
-                            f"k_bar={k_bar}, s_bar={self.s_bar}")
-        n_clients = self.roster.n_clients
+        k_bar, n_bar, n_virtual = self.k_bar, self.n_bar, len(self.roster.owner)
+        if not 1 <= k_bar <= n_bar <= n_virtual:
+            # the workers are the first n_bar virtual workers, actives first
+            raise PlanError(f"need 1 <= k_bar <= n_bar <= {n_virtual}, the "
+                            f"roster's virtual workers; got k_bar={k_bar}, "
+                            f"s_bar={self.s_bar}")
         for w, s in enumerate(self.specs):
-            if s.worker != w:
-                raise PlanError(f"spec {w} is for worker {s.worker}; "
-                                "worker indices must cover 0..n_bar-1")
             if len(s.support) != len(s.coeffs):
                 # G would broadcast or drop coefficients the encode pairs up
                 raise PlanError(f"worker {w}: support/coeff length mismatch")
@@ -192,9 +188,7 @@ class CodingPlan:
             if len(set(s.support)) != len(s.support):
                 # G would keep one coefficient where encode sums them all
                 raise PlanError(f"worker {w}: support repeats a block")
-            if not 0 <= s.owner_client < n_clients:
-                # no client would run the worker or straggle with it
-                raise PlanError(f"worker {w}: unknown owner {s.owner_client}")
+        n_clients = self.roster.n_clients
         for t in self.transfers:
             if t.kind not in ("raw", "coded"):
                 raise PlanError(f"unknown transfer kind {t.kind!r}")
@@ -204,10 +198,9 @@ class CodingPlan:
                 raise PlanError(
                     f"transfer endpoints ({t.src}, {t.dst}) out of range")
 
-    @cached_property
+    @property
     def k_bar(self) -> int:
-        """One block per active virtual worker."""
-        return expand_heterogeneous(self.roster)[0]
+        return self.roster.k_bar
 
     @property
     def s_bar(self) -> int:
@@ -221,14 +214,15 @@ class CodingPlan:
     def G(self) -> np.ndarray:
         """The n_bar x k_bar matrix, row w on spec w; built once, read-only."""
         G = np.zeros((self.n_bar, self.k_bar))
-        for s in self.specs:
-            G[s.worker, list(s.support)] = s.coeffs
+        for w, s in enumerate(self.specs):
+            G[w, list(s.support)] = s.coeffs
         return _freeze(G)
 
     @cached_property
     def _owned(self) -> dict[int, tuple[int, ...]]:
-        return {c: tuple(s.worker for s in self.specs if s.owner_client == c)
-                for c in {s.owner_client for s in self.specs}}
+        owner = self.roster.owner[:self.n_bar]
+        return {c: tuple(w for w, o in enumerate(owner) if o == c)
+                for c in set(owner)}
 
     def workers_of(self, client: int) -> tuple[int, ...]:
         """The workers a client runs, in worker order; () if it runs none."""
@@ -259,15 +253,13 @@ def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     destination are the same physical client; one coded transfer feeds
     each passive virtual worker.
     """
-    k_bar, s_bar, owner = expand_heterogeneous(roster)
-    if s_bar >= k_bar:
-        raise RosterError(
-            f"s_bar={s_bar} must be < k_bar={k_bar} for weight s_bar+1 supports")
+    k_bar, owner = roster.k_bar, roster.owner
+    s_bar = len(owner) - k_bar
     weight = s_bar + 1
     # the support of passive worker k_bar+i starts at (k_bar+i) mod k_bar = i
-    specs = tuple(CodedBlockSpec(w, owner[w], _cyclic_support(w, weight, k_bar),
+    specs = tuple(CodedBlockSpec(_cyclic_support(w, weight, k_bar),
                                  *_spec_coeffs(seed, w, weight))
-                  for w in range(k_bar + s_bar))
+                  for w in range(len(owner)))
 
     transfers = []
     seen = set()
@@ -294,21 +286,20 @@ def build_homogeneous_plan(k_a: int, s: int, seed: int = 0) -> CodingPlan:
     return build_heterogeneous_plan(roster, seed)
 
 
-def _full_support_transfers(roster: ClientRoster, k_bar: int, owner):
+def _full_support_transfers(roster: ClientRoster):
     # every generated block goes raw to every other physical client
-    return tuple(Transfer(owner[q], c.id, "raw", q) for q in range(k_bar)
+    owner = roster.owner
+    return tuple(Transfer(owner[q], c.id, "raw", q) for q in range(roster.k_bar)
                  for c in roster.clients if c.id != owner[q])
 
 
 def build_dense_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     """Dense-random baseline: every worker combines all k_bar blocks."""
-    k_bar, s_bar, owner = expand_heterogeneous(roster)
-    support = tuple(range(k_bar))
-    specs = tuple(CodedBlockSpec(w, owner[w], support,
+    k_bar = roster.k_bar
+    specs = tuple(CodedBlockSpec(tuple(range(k_bar)),
                                  *_spec_coeffs(seed, w, k_bar))
-                  for w in range(k_bar + s_bar))
-    return CodingPlan("dense", roster, specs,
-                      _full_support_transfers(roster, k_bar, owner))
+                  for w in range(len(roster.owner)))
+    return CodingPlan("dense", roster, specs, _full_support_transfers(roster))
 
 
 def build_poly_plan(roster: ClientRoster) -> CodingPlan:
@@ -322,24 +313,21 @@ def build_poly_plan(roster: ClientRoster) -> CodingPlan:
     """
     from numpy.polynomial.chebyshev import chebvander
 
-    k_bar, s_bar, owner = expand_heterogeneous(roster)
-    n_bar = k_bar + s_bar
+    k_bar, n_bar = roster.k_bar, len(roster.owner)
     nodes = np.cos((2 * np.arange(n_bar) + 1) * np.pi / (2 * n_bar))
     rows = chebvander(nodes, k_bar - 1)
     support = tuple(range(k_bar))
     specs = tuple(
-        CodedBlockSpec(w, owner[w], support, tuple(float(v) for v in rows[w]),
+        CodedBlockSpec(support, tuple(float(v) for v in rows[w]),
                        f"node={float(nodes[w])!r}")
         for w in range(n_bar))
-    return CodingPlan("poly", roster, specs,
-                      _full_support_transfers(roster, k_bar, owner))
+    return CodingPlan("poly", roster, specs, _full_support_transfers(roster))
 
 
 def build_uncoded_plan(roster: ClientRoster) -> CodingPlan:
     """No-redundancy control: active worker i computes its own block, coeff 1."""
-    k_bar, _, owner = expand_heterogeneous(roster)
-    specs = tuple(CodedBlockSpec(i, owner[i], (i,), (1.0,), "unit")
-                  for i in range(k_bar))
+    specs = tuple(CodedBlockSpec((i,), (1.0,), "unit")
+                  for i in range(roster.k_bar))
     return CodingPlan("uncoded", roster, specs, ())
 
 
@@ -444,24 +432,22 @@ def iter_encoded_blocks(P: PartitionedMatrix, plan: CodingPlan):
         A = P.matrix.m
         eye = _sp.identity(alpha, format="csc")
         union = None
-        for spec in plan.specs:
+        for w, spec in enumerate(plan.specs):
             # no block outlives its yield here: the caller may drop it
             if len(spec.support) == plan.k_bar:
                 if union is None:
                     union = _overlay(A, plan.k_bar, alpha)
-                yield spec.worker, SparseMatrix._wrap(
-                    _combine(union, plan.G[spec.worker]))
+                yield w, SparseMatrix._wrap(_combine(union, plan.G[w]))
             else:
-                row = _sp.csc_matrix(plan.G[spec.worker, :, None])
-                yield spec.worker, SparseMatrix._wrap(
-                    A @ _sp.kron(row, eye, format="csc"))
+                row = _sp.csc_matrix(plan.G[w, :, None])
+                yield w, SparseMatrix._wrap(A @ _sp.kron(row, eye, format="csc"))
     else:
         a = P.matrix.a
-        for spec in plan.specs:
+        for w, spec in enumerate(plan.specs):
             out = np.zeros((P.rows, alpha))
             for c, q in zip(spec.coeffs, spec.support):
                 out += c * a[:, q * alpha:(q + 1) * alpha]
-            yield spec.worker, DenseMatrix(out)
+            yield w, DenseMatrix(out)
 
 
 def encode(P: PartitionedMatrix, plan: CodingPlan) -> EncodedWorkload:
@@ -517,10 +503,10 @@ def plan_to_dict(plan: CodingPlan) -> dict:
         "s_bar": plan.s_bar,
         "roster": roster_to_dict(plan.roster),
         "workers": [
-            {"worker": s.worker, "owner": s.owner_client,
+            {"worker": w, "owner": plan.roster.owner[w],
              "support": list(s.support), "coeffs": list(s.coeffs),
              "seed_tag": s.seed_tag}
-            for s in plan.specs
+            for w, s in enumerate(plan.specs)
         ],
         "transfers": [
             {"src": t.src, "dst": t.dst, "kind": t.kind, "payload": t.payload}
@@ -533,9 +519,10 @@ def plan_from_dict(d: dict) -> CodingPlan:
     """Parse a stored plan; the plan itself checks its structure.
 
     Stored workers may come in any order; the plan's specs are sorted by
-    worker.  The stored k_bar and s_bar must equal the derived ones.  The
-    checks are structural only; rank properties are the verifier's job, so
-    a tampered-but-well-formed plan loads fine.
+    worker.  The stored k_bar and s_bar must equal the derived ones, and
+    the stored workers and owners the roster's layout.  The checks are
+    structural only; rank properties are the verifier's job, so a
+    tampered-but-well-formed plan loads fine.
     """
     if not isinstance(d, dict):
         raise PlanError("malformed plan: top level must be an object")
@@ -547,19 +534,24 @@ def plan_from_dict(d: dict) -> CodingPlan:
     try:
         scheme = str(d["scheme"])
         stored = int(d["k_bar"]), int(d["s_bar"])
-        specs = tuple(sorted((
-            CodedBlockSpec(int(w["worker"]), int(w["owner"]),
-                           tuple(int(q) for q in w["support"]),
-                           tuple(float(v) for v in w["coeffs"]),
-                           str(w.get("seed_tag", "")))
-            for w in d["workers"]), key=lambda s: s.worker))
+        workers = sorted(d["workers"], key=lambda w: int(w["worker"]))
+        layout = [(int(w["worker"]), int(w["owner"])) for w in workers]
+        specs = tuple(CodedBlockSpec(tuple(int(q) for q in w["support"]),
+                                     tuple(float(v) for v in w["coeffs"]),
+                                     str(w.get("seed_tag", "")))
+                      for w in workers)
         transfers = tuple(
             Transfer(int(t["src"]), int(t["dst"]), str(t["kind"]), int(t["payload"]))
             for t in d["transfers"])
     except (KeyError, TypeError, ValueError) as e:
         raise PlanError(f"malformed plan: {e}") from e
-    k_bar = expand_heterogeneous(roster)[0]
+    k_bar = roster.k_bar
     if stored != (k_bar, len(specs) - k_bar):
         raise PlanError(f"stored k_bar={stored[0]}, s_bar={stored[1]}; roster "
                         f"and workers give {k_bar}, {len(specs) - k_bar}")
+    for w, (worker, owner) in enumerate(layout[:len(roster.owner)]):
+        if (worker, owner) != (w, roster.owner[w]):
+            raise PlanError(f"stored worker {worker} of client {owner} breaks "
+                            f"the roster's layout, where worker {w} is client "
+                            f"{roster.owner[w]}'s")
     return CodingPlan(scheme, roster, specs, transfers)

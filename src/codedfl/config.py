@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
-from .coding import (SCHEMES, ClientRoster, RosterError, expand_heterogeneous,
-                     make_roster)
+from .coding import SCHEMES, ClientRoster, RosterError, make_roster
 from .simulate import CommModel, SimConfigError, TimingModel
 
 
@@ -42,6 +42,8 @@ def _as_int(v, path, lo=None, hi=None):
 def _as_num(v, path, lo=None):
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path,
             f"expected a number, got {v!r}")
+    # json reads Infinity and NaN, which no setting means
+    _expect(math.isfinite(v), path, f"expected a finite number, got {v!r}")
     if lo is not None:
         _expect(v >= lo, path, f"must be >= {lo}, got {v}")
     return float(v)
@@ -225,8 +227,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
                     for i, s in enumerate(lst))
     _expect("roster" in doc, "roster", "required")
     roster = _parse_roster(doc["roster"])
-    k_bar, _, _ = expand_heterogeneous(roster)
-    matrix = _parse_matrix(doc["matrix"], k_bar) if "matrix" in doc else None
+    matrix = (_parse_matrix(doc["matrix"], roster.k_bar) if "matrix" in doc
+              else None)
     scale = _as_int(doc.get("scale", 10), "scale", lo=1)
     timing = _parse_timing(doc.get("timing", {}), roster.n_clients)
     comm = _parse_comm(doc.get("comm", {}))
@@ -236,7 +238,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
                               and matrix.source == "synthetic"
                               and matrix.kind == "sparse"),
             "bench", "requires a synthetic sparse matrix section")
-    fl = (_parse_fl(doc["fl"], k_bar, roster.n_clients) if "fl" in doc
+    fl = (_parse_fl(doc["fl"], roster.k_bar, roster.n_clients) if "fl" in doc
           else None)
     out = _as_str(doc.get("out", "."), "out")
     return ExperimentConfig(seed=seed, schemes=schemes, roster=roster,

@@ -21,8 +21,8 @@ the s_bar removed rows D.  Orthogonality of Q gives
     Q_1[S]^T Q_1[S] = I - Q_1[D]^T Q_1[D],   N[D] N[D]^T = I - Q_1[D] Q_1[D]^T,
 
 and the nonunit eigenvalues of both are 1 - sigma_i(Q_1[D])^2, so
-sigma_min(Q_1[S]) = sigma_min(N[D]) =: sigma.  When s_bar < k_bar, Q_1[D] has
-a null vector, so sigma_max(Q_1[S]) = 1.  As G[S] = Q_1[S] R_1 with R_1 square,
+sigma_min(Q_1[S]) = sigma_min(N[D]) =: sigma.  A plan has s_bar < k_bar, so
+Q_1[D] has a null vector and sigma_max(Q_1[S]) = 1.  As G[S] = Q_1[S] R_1,
 
     1 / (kappa(R_1) sigma)  <=  cond(G[S])  <=  kappa(R_1) / sigma.
 
@@ -40,9 +40,8 @@ relative, well inside BOUND_SLACK: a subset that is not open is full rank
 and its computed cond is below the maximum.  The exact SVD runs in
 enumeration order on the same rows as before, so failures, max_cond and
 worst_subset are those of ranking every subset.  Every subset is open where
-the bound does not apply: s_bar = 0, s_bar >= k_bar (sigma_max(Q_1[S]) may
-be below 1 and the lower bound fails), or a G of rank below k_bar, whose
-kappa is inf or far above the limit.
+the bound does not apply: s_bar = 0, or a G of rank below k_bar, whose kappa
+is inf or far above the limit.
 
 The matching certificate follows from rank.  If sigma_min of G_S clears the
 SVD tolerance, G_S is nonsingular (the computed singular values lie within
@@ -292,7 +291,7 @@ def _open_subsets(G: np.ndarray, sample, seed) -> np.ndarray:
     upper = np.full(math.comb(n_bar, k_bar) if sample is None else sample,
                     np.inf)
     floor = 0.0     # a cond the maximum reaches
-    if 0 < s_bar < k_bar:
+    if s_bar > 0:       # and a plan's s_bar is below its k_bar
         limit = RANK_MARGIN / (k_bar * np.finfo(G.dtype).eps)
         Q, R = np.linalg.qr(G, mode="complete")
         sv = np.linalg.svd(R[:k_bar], compute_uv=False)
@@ -417,22 +416,6 @@ def check_hall_condition(plan: CodingPlan, subset) -> MatchingResult:
     return MatchingResult(len(pairs) == plan.k_bar, pairs)
 
 
-def measured_neighborhood(plan: CodingPlan, workers) -> int:
-    """Count distinct unknowns touched by the given workers' supports."""
-    return len({q for w in workers for q in plan.specs[w].support})
-
-
-def neighborhood_lower_bound(k_bar: int, s_bar: int, m: int) -> int:
-    """Guaranteed distinct-unknown count for any m equations of the scheme."""
-    if not 1 <= m <= k_bar:
-        raise ValueError(f"m must be in [1, {k_bar}], got {m}")
-    weight = s_bar + 1
-    if m <= 2 * s_bar:
-        return min(weight + math.ceil(m / 2) - 1, k_bar)
-    q = m - 2 * s_bar
-    return min(weight + s_bar + q - 1, k_bar)
-
-
 # ---------------------------------------------------------------------------
 # straggler patterns over physical clients
 
@@ -546,9 +529,10 @@ def certify(plan: CodingPlan, max_stragglers: int | None = None,
     max_stragglers defaults to min(n_clients, s_bar + 1).  After a clean
     exhaustive subset report, every k_bar rows have full rank and adding
     rows never lowers sigma_min, so a straggler set is tolerable when k_bar
-    workers survive it, and patterns are counted from the workers each type's
-    clients own in the specs.  A sampled or failing report, or one type's
-    clients owning different numbers of workers, takes the survey instead.
+    workers survive it, and patterns are counted from the multipliers: a
+    client runs as many workers as its multiplier.  A sampled or failing
+    report, or a plan that runs fewer workers than its roster has (uncoded
+    with passives), takes the survey instead.
     """
     roster = plan.roster
     if max_stragglers is None:
@@ -558,14 +542,12 @@ def certify(plan: CodingPlan, max_stragglers: int | None = None,
     subsets = check_all_subsets(plan, sample=sample, seed=seed)
     unmatched = tuple(f for f in subsets.failures
                       if not check_hall_condition(plan, f).perfect)
-    width = {c.type_index: len(plan.workers_of(c.id)) for c in roster.clients}
-    if not (subsets.exhaustive and subsets.ok) or any(
-            len(plan.workers_of(c.id)) != width[c.type_index]
-            for c in roster.clients):
+    if not (subsets.exhaustive and subsets.ok) or plan.n_bar < len(roster.owner):
         patterns = resilience_patterns(plan, max_stragglers)
         return Certificate(subsets, unmatched, patterns, max_stragglers)
     _check_pattern_guard(roster.n_clients, max_stragglers)
     types = Counter(c.type_index for c in roster.clients)
+    width = {c.type_index: c.multiplier for c in roster.clients}
     buckets = {}   # m_t clients of type t: prod C(N_t, m_t) sets
     for size in range(min(max_stragglers, roster.n_clients) + 1):
         for key in itertools.combinations_with_replacement(sorted(types), size):

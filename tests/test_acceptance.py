@@ -9,6 +9,7 @@ weight-(s_bar+1) coded block over a weight-k_bar one (see criterion 5).
 
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -87,14 +88,30 @@ def test_criterion_2_heterogeneous_pattern_report():
 # ---------------------------------------------------------------------------
 # criterion 3: measured distinct-block coverage never undercuts the bound
 
+def measured_neighborhood(plan, workers) -> int:
+    """Count distinct unknowns touched by the given workers' supports."""
+    return len({q for w in workers for q in plan.specs[w].support})
+
+
+def neighborhood_lower_bound(k_bar: int, s_bar: int, m: int) -> int:
+    """Guaranteed distinct-unknown count for any m equations of the scheme."""
+    if not 1 <= m <= k_bar:
+        raise ValueError(f"m must be in [1, {k_bar}], got {m}")
+    weight = s_bar + 1
+    if m <= 2 * s_bar:
+        return min(weight + math.ceil(m / 2) - 1, k_bar)
+    q = m - 2 * s_bar
+    return min(weight + s_bar + q - 1, k_bar)
+
+
 def test_criterion_3_neighborhood_lower_bound():
     plan = cd.build_homogeneous_plan(10, 2, seed=2026)
     violations = 0
     checked = 0
     for subset in itertools.combinations(range(12), 10):
         for m in range(1, 11):
-            measured = dec.measured_neighborhood(plan, subset[:m])
-            bound = dec.neighborhood_lower_bound(10, 2, m)
+            measured = measured_neighborhood(plan, subset[:m])
+            bound = neighborhood_lower_bound(10, 2, m)
             checked += 1
             violations += measured < bound
     _line(violations == 0, "criterion 3",

@@ -75,23 +75,21 @@ def test_make_roster_per_type_counts():
 
 
 def test_expand_example2():
-    k_bar, s_bar, owner = cd.expand_heterogeneous(example2_roster())
-    assert (k_bar, s_bar) == (7, 2)
-    assert owner[0:2] == (0, 0)       # first client owns virtual workers 0,1
-    assert owner[6] == 4              # last active owns virtual worker 6
-    assert owner[7:] == (5, 6)        # passive virtual workers
+    roster = example2_roster()
+    # the first client owns virtual workers 0 and 1, the last active owns
+    # virtual worker 6, and the passives own 7 and 8
+    assert roster.owner == (0, 0, 1, 1, 2, 3, 4, 5, 6)
+    assert roster.k_bar == 7
 
 
 def test_expand_all_ones_is_identity():
-    k_bar, s_bar, owner = cd.expand_heterogeneous(cd.make_roster([1] * 4, [1] * 2))
-    assert (k_bar, s_bar) == (4, 2)
-    assert owner == (0, 1, 2, 3, 4, 5)
+    roster = cd.make_roster([1] * 4, [1] * 2)
+    assert (roster.k_bar, roster.owner) == (4, (0, 1, 2, 3, 4, 5))
 
 
 def test_expand_prefix_sums():
-    k_bar, s_bar, owner = cd.expand_heterogeneous(cd.make_roster([3, 1], [1]))
-    assert (k_bar, s_bar) == (4, 1)
-    assert owner == (0, 0, 0, 1, 2)
+    roster = cd.make_roster([3, 1], [1])
+    assert (roster.k_bar, roster.owner) == (4, (0, 0, 0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,7 @@ def test_expand_prefix_sums():
 
 def test_fig1_supports():
     plan = fig1_plan()
-    sup = {s.worker: s.support for s in plan.specs}
+    sup = [s.support for s in plan.specs]
     assert sup[0] == (0, 1, 2)
     assert sup[9] == (9, 0, 1)
     assert sup[10] == (0, 1, 2)
@@ -177,8 +175,8 @@ def test_example2_supports_and_owners():
     plan = cd.build_heterogeneous_plan(example2_roster(), seed=0)
     assert (plan.k_bar, plan.s_bar) == (7, 2)
     by_owner = {}
-    for s in plan.specs:
-        by_owner.setdefault(s.owner_client, []).append(s.support)
+    for owner, s in zip(plan.roster.owner, plan.specs):
+        by_owner.setdefault(owner, []).append(s.support)
     assert by_owner[0] == [(0, 1, 2), (1, 2, 3)]
     assert by_owner[2] == [(4, 5, 6)]
     assert by_owner[5] == [(0, 1, 2)]     # passive reuses worker 0's support
@@ -201,7 +199,7 @@ def test_small_heterogeneous_by_hand():
     plan = cd.build_heterogeneous_plan(cd.make_roster([2, 1], [1]), seed=0)
     assert (plan.k_bar, plan.s_bar) == (3, 1)
     assert [s.support for s in plan.specs] == [(0, 1), (1, 2), (2, 0), (0, 1)]
-    assert [s.owner_client for s in plan.specs] == [0, 0, 1, 2]
+    assert plan.roster.owner == (0, 0, 1, 2)
 
 
 def test_heterogeneous_reduces_to_homogeneous():
@@ -212,12 +210,13 @@ def test_heterogeneous_reduces_to_homogeneous():
 
 
 def test_heterogeneous_rejects_s_bar_ge_k_bar():
-    # the per-type roster rule already implies s_bar < k_bar, so this guard
-    # only fires on a roster assembled by hand
+    # the per-type roster rule already implies s_bar < k_bar, so only a
+    # roster assembled by hand gets here: weight-4 supports on 2 blocks
+    # repeat a block
     clients = (cd.Client(0, "active", 0, 1), cd.Client(1, "active", 0, 1),
                cd.Client(2, "passive", 1, 3))
     roster = cd.ClientRoster(clients, 1, 1.0)
-    with pytest.raises(cd.RosterError):
+    with pytest.raises(cd.PlanError, match="support repeats a block"):
         cd.build_heterogeneous_plan(roster, seed=0)
 
 
@@ -234,11 +233,11 @@ def test_coefficient_matrix_support_exact():
     plan = fig1_plan(seed=7)
     G = plan.G
     assert G.shape == (12, 10)
-    for s in plan.specs:
+    for w, s in enumerate(plan.specs):
         on = np.zeros(10, dtype=bool)
         on[list(s.support)] = True
-        assert np.all(G[s.worker, on] != 0)
-        assert np.all(G[s.worker, ~on] == 0)
+        assert np.all(G[w, on] != 0)
+        assert np.all(G[w, ~on] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +330,12 @@ def test_encode_matches_manual_combination_dense():
     plan = fig1_plan(seed=11)
     wl = cd.encode(P, plan)
     assert wl.alpha == 2 and wl.n_bar == 12
-    for s in plan.specs:
+    for w, s in enumerate(plan.specs):
         # the same products summed in the same (support) order: bit-identical
         want = np.zeros((12, 2))
         for c, q in zip(s.coeffs, s.support):
             want += c * P.block(q).to_dense()
-        np.testing.assert_array_equal(wl.coded[s.worker].to_dense(), want)
+        np.testing.assert_array_equal(wl.coded[w].to_dense(), want)
 
 
 def test_encode_sparse_route_matches_dense_route():
@@ -388,9 +387,9 @@ def test_encode_handcrafted_systematic_plan():
     # two data workers plus one sum worker: classic one-straggler code
     A = mx.random_dense(5, 4, rng(9))
     P = mx.partition_uniform(A, 2)
-    specs = (cd.CodedBlockSpec(0, 0, (0,), (1.0,), "unit"),
-             cd.CodedBlockSpec(1, 1, (1,), (1.0,), "unit"),
-             cd.CodedBlockSpec(2, 2, (0, 1), (1.0, 1.0), "unit"))
+    specs = (cd.CodedBlockSpec((0,), (1.0,), "unit"),
+             cd.CodedBlockSpec((1,), (1.0,), "unit"),
+             cd.CodedBlockSpec((0, 1), (1.0, 1.0), "unit"))
     plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs, ())
     wl = cd.encode(P, plan)
     np.testing.assert_array_equal(wl.coded[0].to_dense(), P.block(0).to_dense())
@@ -462,9 +461,9 @@ def test_encoded_cancellation_is_not_stored():
     B = mx.random_sparse(30, 4, 0.3, rng(32)).to_dense()
     C = mx.random_sparse(30, 4, 0.3, rng(33)).to_dense()
     P = mx.partition_uniform(mx.SparseMatrix(np.hstack([B, B, C])), 3)
-    specs = (cd.CodedBlockSpec(0, 0, (0, 1, 2), (1.0, -1.0, 0.5), "cancel"),
-             cd.CodedBlockSpec(1, 1, (2, 0, 1), (0.25, 1.0, 2.0), "mix"),
-             cd.CodedBlockSpec(2, 2, (0, 1, 2), (-1.5, 0.75, 1.0), "mix"))
+    specs = (cd.CodedBlockSpec((0, 1, 2), (1.0, -1.0, 0.5), "cancel"),
+             cd.CodedBlockSpec((2, 0, 1), (0.25, 1.0, 2.0), "mix"),
+             cd.CodedBlockSpec((0, 1, 2), (-1.5, 0.75, 1.0), "mix"))
     plan = cd.CodingPlan("dense", cd.make_roster([1] * 3), specs, ())
     coded = cd.encode(P, plan).coded
     assert coded[0].nnz() == np.count_nonzero(C) < np.count_nonzero(B + C)
@@ -563,7 +562,7 @@ def test_a_support_that_repeats_a_block_is_rejected():
     # G's last column and break the dense encode
     for support, msg in [((0, 0), "support repeats a block"),
                          ((-1, 0), "block index out of range")]:
-        specs = (cd.CodedBlockSpec(0, 0, support, (1.0, 2.0), ""),
+        specs = (cd.CodedBlockSpec(support, (1.0, 2.0), ""),
                  *plan.specs[1:])
         with pytest.raises(cd.PlanError, match=f"worker 0: {msg}"):
             cd.CodingPlan("proposed", roster, specs, plan.transfers)
@@ -572,14 +571,15 @@ def test_a_support_that_repeats_a_block_is_rejected():
 # each edit of a plan built in code used to be accepted: a single
 # coefficient was broadcast over worker 0's two blocks in G while the dense
 # encode used block 0 alone, so decoding workers 0-2 gave a wrong A^T x with
-# a residual near 1e-16; worker 3 of client 9 never ran and never straggled
+# a residual near 1e-16; a worker past the roster's four (once a worker of
+# an unknown client 9, or a dense plan of 4 workers on 2 clients) never ran
+# and never straggled
 @pytest.mark.parametrize("edit, msg", [
     (lambda p: {"specs": (dataclasses.replace(p.specs[0], coeffs=(0.5,)),
                           *p.specs[1:])},
      "worker 0: support/coeff length mismatch"),
-    (lambda p: {"specs": (*p.specs[:3],
-                          dataclasses.replace(p.specs[3], owner_client=9))},
-     "worker 3: unknown owner 9"),
+    (lambda p: {"specs": (*p.specs, p.specs[3])},
+     "need 1 <= k_bar <= n_bar <= 4"),
     (lambda p: {"transfers": (dataclasses.replace(p.transfers[0], dst=9),
                               *p.transfers[1:])},
      r"transfer endpoints \(1, 9\) out of range"),
@@ -599,6 +599,9 @@ def test_plan_derives_k_bar_and_s_bar_from_its_roster():
         assert (plan.k_bar, plan.s_bar, plan.n_bar) == (7, s_bar, 7 + s_bar)
     assert [f.name for f in dataclasses.fields(cd.CodingPlan)] == [
         "scheme", "roster", "specs", "transfers"]
+    # the roster fixes each worker's index and owner
+    assert [f.name for f in dataclasses.fields(cd.CodedBlockSpec)] == [
+        "support", "coeffs", "seed_tag"]
     assert cd.build_homogeneous_plan(4, 1).roster == cd.make_roster([1] * 4,
                                                                     [1])
 
@@ -615,12 +618,13 @@ def test_no_function_takes_both_a_plan_and_a_roster():
 def test_plan_is_indexed_by_worker():
     roster = cd.make_roster([1, 1, 1], [1])
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    assert [s.worker for s in plan.specs] == list(range(plan.n_bar))
+    # worker w is specs[w], run by roster.owner[w]
+    assert [plan.workers_of(c.id) for c in roster.clients] == [
+        (0,), (1,), (2,), (3,)]
     no_actives = cd.ClientRoster((), 1, 1.0)
     for roster, specs, msg in [
-            (roster, plan.specs[::-1], "spec 0 is for worker 3"),
-            (no_actives, (), "k_bar >= 1"),
-            (roster, plan.specs[:2], "s_bar >= 0")]:
+            (no_actives, (), "got k_bar=0"),
+            (roster, plan.specs[:2], "got k_bar=3, s_bar=-1")]:
         with pytest.raises(cd.PlanError, match=msg):
             cd.CodingPlan("proposed", roster, specs, ())
 
@@ -631,11 +635,10 @@ def test_plan_from_dict_takes_workers_in_any_order():
     d = cd.plan_to_dict(plan)
     d["workers"].reverse()
     plan2 = cd.plan_from_dict(d)
-    assert all(plan2.specs[w].worker == w for w in range(plan2.n_bar))
     assert plan2 == plan
     # a repeated worker leaves another one out
     d["workers"][0]["worker"] = 0
-    with pytest.raises(cd.PlanError, match="must cover 0..n_bar-1"):
+    with pytest.raises(cd.PlanError, match="breaks the roster's layout"):
         cd.plan_from_dict(d)
 
 

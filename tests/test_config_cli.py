@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -630,6 +631,24 @@ def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+# json reads Infinity; it used to pass these keys, so simulate ran rounds of
+# infinite completion time and plan wrote "base_speed": Infinity, not JSON
+@pytest.mark.parametrize("command, section, key", [
+    ("simulate", "timing", "noise"),
+    ("plan", "roster", "base_speed"),
+    *[("simulate", "comm", key) for key in (
+        "link_latency", "per_byte_cost", "bytes_per_element", "broadcast_cost")],
+], ids=["noise", "base_speed", "link_latency", "per_byte_cost",
+        "bytes_per_element", "broadcast_cost"])
+def test_an_infinite_number_is_exit_2(tmp_path, capsys, command, section, key):
+    doc = example_doc(tmp_path / "out", schemes=["proposed"])
+    doc.setdefault(section, {})[key] = math.inf
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert (f"{section}.{key}: expected a finite number, got inf"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_file_matrix_cols_not_divisible_is_exit_2(tmp_path, capsys):
     # a file's width is known only once it is read; the partition rejects it
     mpath = tmp_path / "A.csv"
@@ -672,13 +691,24 @@ def _without(key):
     (lambda d: d["workers"][0].update(coeffs=[1.0]) or d,
      "worker 0: support/coeff length mismatch"),
     (lambda d: d["workers"][3].update(owner=9) or d,
-     "worker 3: unknown owner 9"),
+     "stored worker 3 of client 9 breaks the roster's layout"),
+    # it used to load: client 2, of multiplier 1, ran two workers without
+    # receiving worker 0's blocks 0-2, privacy_report put client 0 at raw
+    # 3/7 though it generates block 0, and verify exited 0
+    (lambda d: d["workers"][0].update(owner=2) or d,
+     "stored worker 0 of client 2 breaks the roster's layout, where worker "
+     "0 is client 0's"),
+    # make_roster only tested base_speed <= 0, so both used to pass verify
+    (lambda d: d["roster"].update(base_speed=math.inf) or d,
+     "base_speed must be finite and > 0, got inf"),
+    (lambda d: d["roster"].update(base_speed=math.nan) or d,
+     "base_speed must be finite and > 0, got nan"),
     (lambda d: d["transfers"][0].update(dst=9) or d,
      "transfer endpoints (1, 9) out of range"),
 ], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
         "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme",
         "repeated-block", "stored-k_bar", "coeff-count", "owner",
-        "transfer-endpoint"])
+        "moved-owner", "infinite-speed", "nan-speed", "transfer-endpoint"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
     # exit 1 is a diverging descent; a bad plan file is a config error
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",

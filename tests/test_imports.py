@@ -97,3 +97,14 @@ def test_manifest_records_numpy_scipy_and_blas_env(tmp_path):
     doc = json.loads(manifest.read_text())
     assert doc["scipy"] == scipy.__version__
     assert doc["blas_env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_verify_of_a_stored_plan_writes_a_manifest(tmp_path):
+    # verify --plan overwrites plan's manifest with its own: no config to
+    # hash, its one output, and no scipy loaded
+    paths, commands = _certify_rounds(tmp_path)
+    assert commands[1][:2] == ["verify", "--plan"]
+    assert _run(paths["certify"], commands[:2]) == [[0, 0], []]
+    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert doc["config_hash"] is None and doc["scipy"] is None
+    assert doc["outputs"] == [str(tmp_path / "out" / "resilience.json")]

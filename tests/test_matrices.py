@@ -158,7 +158,7 @@ def test_sparse_is_immutable():
     narrow = cd.encode(P, cd.build_plan("proposed", roster, seed=24)).coded[0]
     twins = mx.partition_uniform(mx.SparseMatrix(sp.hstack(
         [P.block(0).m, P.block(0).m, P.block(1).m])), 3)
-    spec = cd.CodedBlockSpec(0, 0, (0, 1, 2), (1.0, -1.0, 0.5), "cancel")
+    spec = cd.CodedBlockSpec((0, 1, 2), (1.0, -1.0, 0.5), "cancel")
     others = cd.build_uncoded_plan(roster).specs[1:]
     cancelled = cd.encode(twins, cd.CodingPlan("dense", roster, (spec, *others),
                                                ()))

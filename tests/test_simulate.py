@@ -108,7 +108,7 @@ def test_explicit_failures_are_coupled():
     timing = sim.TimingModel(noise=0, failed_clients=(0,))
     rep = sim.simulate_round(plan, timing, sim.CommModel(), rng(7))
     assert rep.failed_clients == (0,)
-    owned = {s.worker for s in plan.specs if s.owner_client == 0}
+    owned = {w for w, c in enumerate(plan.roster.owner) if c == 0}
     assert owned and not owned & set(rep.compute_finish)
 
 
@@ -135,7 +135,7 @@ def test_late_clients_finish_after_on_time_ones_and_still_decode():
     late = (0, 5)
     rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
                              sim.CommModel(), rng(15), late=late)
-    owner = {s.worker: s.owner_client for s in plan.specs}
+    owner = plan.roster.owner
     on_time = [t for w, t in rep.compute_finish.items() if owner[w] not in late]
     tardy = [t for w, t in rep.compute_finish.items() if owner[w] in late]
     assert len(tardy) == 3 and len(on_time) == plan.n_bar - 3
