@@ -1,4 +1,5 @@
-"""Command-line entry point: plan, verify, simulate, fl-demo.
+"""Command-line entry point: plan, verify, simulate, fl-demo.  Every round
+decodes real products of an encoded matrix (see _make_matrix).
 
 Exit codes: 0 success, 1 diverging descent, 2 configuration error (a bad
 config or stored plan; nothing is written), 3 verification failure, 4
@@ -90,15 +91,19 @@ def _out_dir(path) -> Path:
 
 
 def _make_matrix(cfg: ExperimentConfig, zero_fraction=None):
-    """Materialize the configured matrix, rows divided by the scale factor."""
+    """Materialize the configured matrix, rows divided by the scale factor;
+    with no matrix section, one standard normal row of k_bar blocks, each
+    roster.base_width wide."""
     spec = cfg.matrix
+    rng = np.random.default_rng([cfg.seed, _TAG_MATRIX])
+    if spec is None:
+        return mx.random_dense(1, cfg.roster.k_bar * cfg.roster.base_width, rng)
     if spec.source == "file":
         try:
             return mx.load_matrix(spec.path)
         except (OSError, ValueError) as e:
             raise ConfigError(f"matrix.path: {e}") from e
     rows = max(1, spec.rows // cfg.scale)
-    rng = np.random.default_rng([cfg.seed, _TAG_MATRIX])
     if spec.kind == "sparse":
         zf = spec.zero_fraction if zero_fraction is None else zero_fraction
         return mx.random_sparse(rows, spec.cols, 1.0 - zf, rng)
@@ -216,17 +221,17 @@ def cmd_verify(args, cfg: ExperimentConfig | None) -> int:
     return 0
 
 
-def _simulate_rounds(cfg, plan, workload, x):
+def _simulate_rounds(cfg, workload, x):
     # every trial shares x, so each product is computed once for all of
     # them; the memo holds the workload and must die with this call
-    products = None if workload is None else dec.ProductMemo(workload, x)
+    products = dec.ProductMemo(workload, x)
+    plan = workload.plan
     raw, coded = len(plan.raw_transfers()), len(plan.coded_transfers())
     rows = []
     any_decode_failure = False
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, _TAG_TRIAL, t])
-        rep = sim.simulate_round(plan, cfg.timing, cfg.comm, rng,
-                                 products=products)
+        rep = sim.simulate_round(products, cfg.timing, cfg.comm, rng)
         any_decode_failure |= not rep.decode_ok
         rows.append([
             plan.scheme, t, plan.k_bar, plan.s_bar, raw, coded,
@@ -252,25 +257,19 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     outputs = []
 
     plans = {s: cd.build_plan(s, cfg.roster, cfg.seed) for s in cfg.schemes}
-    k_bar = plans[cfg.schemes[0]].k_bar     # every scheme's, from the roster
-
-    workload_by_scheme = {}
-    x = None
-    if cfg.matrix is not None:
-        # the partition holds the matrix itself, so the matrix lives
-        # exactly as long as P does
-        P = mx.partition_uniform(_make_matrix(cfg), k_bar)
-        x = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(P.rows)
-        for s, plan in plans.items():
-            workload_by_scheme[s] = cd.encode(P, plan)
-        del P
+    # the partition holds the matrix itself, so the matrix lives exactly
+    # as long as P does
+    P = mx.partition_uniform(_make_matrix(cfg), cfg.roster.k_bar)
+    x = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(P.rows)
+    workload_by_scheme = {s: cd.encode(P, plan) for s, plan in plans.items()}
+    del P
 
     round_rows = []
     privacy_rows = []
     any_failure = False
     for s in cfg.schemes:
         plan = plans[s]
-        rows, failed = _simulate_rounds(cfg, plan, workload_by_scheme.get(s), x)
+        rows, failed = _simulate_rounds(cfg, workload_by_scheme[s], x)
         any_failure |= failed
         round_rows += rows
         exposure = sim.privacy_report(plan)
@@ -293,7 +292,7 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     if cfg.bench is not None:
         bench_rows, time_rows = [], []
         for zf in cfg.bench.zero_fractions:
-            Pz = mx.partition_uniform(_make_matrix(cfg, zf), k_bar)
+            Pz = mx.partition_uniform(_make_matrix(cfg, zf), cfg.roster.k_bar)
             xz = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(Pz.rows)
             table = sim.sparse_compute_benchmark(
                 Pz, [plans[s] for s in cfg.schemes], xz, zero_fraction=zf,

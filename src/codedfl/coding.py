@@ -352,13 +352,21 @@ def build_plan(scheme: str, roster: ClientRoster, seed: int = 0) -> CodingPlan:
 
 @dataclass(frozen=True)
 class EncodedWorkload:
-    coded: tuple[Matrix, ...]      # one t x alpha block per worker
-    G: np.ndarray                  # n_bar x k_bar coefficient matrix
-    alpha: int
+    """A plan and its workers' coded blocks; G and alpha are read off them."""
+    plan: CodingPlan
+    coded: tuple[Matrix, ...]      # one rows x alpha block per worker
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.plan.G
+
+    @property
+    def alpha(self) -> int:
+        return self.coded[0].cols
 
     @property
     def n_bar(self) -> int:
-        return len(self.coded)
+        return self.plan.n_bar
 
 
 def _overlay(A: _sp.csc_matrix, k: int, alpha: int):
@@ -455,7 +463,7 @@ def encode(P: PartitionedMatrix, plan: CodingPlan) -> EncodedWorkload:
     coded = [None] * plan.n_bar
     for w, blk in iter_encoded_blocks(P, plan):
         coded[w] = blk
-    return EncodedWorkload(tuple(coded), plan.G, P.alpha)
+    return EncodedWorkload(plan, tuple(coded))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .coding import SCHEMES, ClientRoster, RosterError, make_roster
@@ -42,8 +42,9 @@ def _as_int(v, path, lo=None, hi=None):
 def _as_num(v, path, lo=None):
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path,
             f"expected a number, got {v!r}")
-    # json reads Infinity and NaN, which no setting means
-    _expect(math.isfinite(v), path, f"expected a finite number, got {v!r}")
+    # json reads Infinity, NaN and ints past float range; none is a setting
+    _expect(abs(v) <= sys.float_info.max, path,
+            f"expected a finite number, got {v!r}")
     if lo is not None:
         _expect(v >= lo, path, f"must be >= {lo}, got {v}")
     return float(v)

@@ -114,25 +114,18 @@ def privacy_report(plan: CodingPlan) -> dict[int, ClientExposure]:
             for c in roster.clients}
 
 
-def simulate_round(plan: CodingPlan, timing: TimingModel, comm: CommModel,
-                   rng: np.random.Generator, *,
-                   products: dec.ProductMemo | None = None,
+def simulate_round(products: dec.ProductMemo, timing: TimingModel,
+                   comm: CommModel, rng: np.random.Generator, *,
                    late: tuple[int, ...] = ()) -> SimReport:
     """One full round: transfers, compute with stragglers, decode.
 
-    With ``products`` the decode runs on its workload's real products,
-    each computed once per memo; without one it runs on synthetic products
-    consistent with the plan's coefficients, which exercises the same
-    solver path.  Clients in ``late`` start their tasks once the last
-    on-time client has finished.
+    The plan is the memo's workload's, so the plan a round times is the one
+    whose products it decodes, each computed once per memo.  Clients in
+    ``late`` start their tasks once the last on-time client has finished.
     """
+    wl = products.workload
+    plan, rows, alpha = wl.plan, wl.coded[0].rows, wl.alpha
     roster = plan.roster
-    if products is not None:
-        alpha = products.workload.alpha
-        rows = products.workload.coded[0].rows
-    else:
-        alpha, rows = roster.base_width, 1
-
     total_bytes = comm.bytes_per_element * rows * alpha * len(plan.transfers)
     comm_delay = (comm.broadcast_cost
                   + len(plan.transfers) * comm.link_latency
@@ -170,17 +163,8 @@ def simulate_round(plan: CodingPlan, timing: TimingModel, comm: CommModel,
         # decode reads the first k arrivals only, so only those are computed;
         # worker order makes the result depend on who arrived, not when
         first = sorted(arrival[:k])
-        if products is not None:
-            problem = products.problem(first)
-        else:
-            # synthetic unknowns give the decoder real work at zero data cost
-            G = plan.G[first]
-            products = G @ rng.standard_normal((k, alpha))
-            problem = dec.DecodeProblem(
-                tuple(dec.ReturnedResult(w, g, p)
-                      for w, g, p in zip(first, G, products)), k)
         try:
-            result = dec.decode(problem)
+            result = dec.decode(products.problem(first))
         except dec.DecodeError as e:
             error = str(e)
 
@@ -327,8 +311,8 @@ def fl_demo(D, y, plan: CodingPlan, steps: int, seed: int = 0,
                 int(c) for c in rng.choice(clients, size=stragglers_per_round,
                                            replace=False)))
             # comm delay shifts every finish alike, never who decodes
-            rep = simulate_round(plan, timing, CommModel(), round_rng,
-                                 products=products, late=late)
+            rep = simulate_round(products, timing, CommModel(), round_rng,
+                                 late=late)
             if rep.decode_ok:
                 break
             retried += 1

@@ -131,10 +131,17 @@ def test_criterion_4_communication_cost():
     n_d = len(dense.transfers)
 
     quiet = sim.TimingModel(noise=0.0)
+    # one-row products with blocks one column wide, as the roster's
+    # base_width gives a config with no matrix section
+    memos = {}
+    for p in (plan, dense):
+        A = mx.random_dense(1, p.k_bar, np.random.default_rng(1))
+        wl = cd.encode(mx.partition_uniform(A, p.k_bar), p)
+        memos[p.scheme] = dec.ProductMemo(wl, np.ones(1))
 
     def delay(p, comm):
         rng = np.random.default_rng(0)
-        return sim.simulate_round(p, quiet, comm, rng).comm_delay
+        return sim.simulate_round(memos[p.scheme], quiet, comm, rng).comm_delay
 
     rng = np.random.default_rng(99)
     dominated = True

@@ -122,9 +122,10 @@ def test_verify_reports_a_patched_subset_survey(tmp_path, monkeypatch):
                   "trials": 20}),
     ("simulate", {"matrix": {"rows": 42, "cols": 21, "kind": "sparse",
                              "zero_fraction": 0.5}, "trials": 20}),
+    ("simulate", {"trials": 20}),
     ("fl-demo", {"fl": {"rows": 42, "cols": 21, "steps": 10,
                         "stragglers_per_round": 2}}),
-], ids=["simulate-dense", "simulate-sparse", "fl-demo"])
+], ids=["simulate-dense", "simulate-sparse", "simulate-no-matrix", "fl-demo"])
 def test_products_are_computed_in_problem_from_workload(tmp_path, monkeypatch,
                                                         command, section):
     # bench/run.py's decoding.products_computed counts only the matvec_t

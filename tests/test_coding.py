@@ -28,7 +28,8 @@ def example2_roster():
 
 def one_block_roster(n_bar):
     # one generated block shared by n_bar workers; make_roster rejects this
-    # shape (passives must be fewer than actives), a stored roster need not
+    # shape (passives must be fewer than actives), and roster_from_dict
+    # rebuilds every stored roster through it, so only code can build one
     clients = tuple(cd.Client(i, "active" if i == 0 else "passive", 0, 1)
                     for i in range(n_bar))
     return cd.ClientRoster(clients, 1, 1.0)
@@ -298,6 +299,16 @@ def test_plan_derives_G_once_and_encode_shares_it():
         G[0, 0] = 1.0
     A = mx.random_dense(6, 8, np.random.default_rng(0))
     assert cd.encode(mx.partition_uniform(A, plan.k_bar), plan).G is G
+
+
+def test_a_workload_carries_its_plan_and_derives_the_rest():
+    plan = cd.build_heterogeneous_plan(cd.make_roster([2, 1, 1], [1]), seed=0)
+    A = mx.random_dense(6, 12, rng(0))
+    wl = cd.encode(mx.partition_uniform(A, plan.k_bar), plan)
+    assert [f.name for f in dataclasses.fields(cd.EncodedWorkload)] == [
+        "plan", "coded"]
+    assert wl.plan is plan and wl.G is plan.G
+    assert (wl.alpha, wl.n_bar) == (3, plan.n_bar)
 
 
 def test_workers_of_maps_every_client_to_its_workers():
@@ -607,12 +618,14 @@ def test_plan_derives_k_bar_and_s_bar_from_its_roster():
 
 
 def test_no_function_takes_both_a_plan_and_a_roster():
-    # a plan carries its roster, so no caller can pass one that disagrees
+    # a plan carries its roster and a workload (so a products memo) its
+    # plan, so no caller can pass one that disagrees
     from codedfl import cli, config, decoding, matrices, simulate
     for mod in (cd, decoding, simulate, cli, config, matrices):
         for name, fn in inspect.getmembers(mod, inspect.isfunction):
-            params = inspect.signature(fn).parameters
-            assert not {"plan", "roster"} <= set(params), name
+            params = set(inspect.signature(fn).parameters)
+            for carrier in ("roster", "products", "workload"):
+                assert not {"plan", carrier} <= params, (name, carrier)
 
 
 def test_plan_is_indexed_by_worker():

@@ -632,19 +632,23 @@ def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
 
 
 # json reads Infinity; it used to pass these keys, so simulate ran rounds of
-# infinite completion time and plan wrote "base_speed": Infinity, not JSON
-@pytest.mark.parametrize("command, section, key", [
-    ("simulate", "timing", "noise"),
-    ("plan", "roster", "base_speed"),
-    *[("simulate", "comm", key) for key in (
+# infinite completion time and plan wrote "base_speed": Infinity, not JSON.
+# It reads 401 digits as an int no float holds, which used to crash config
+# parsing with an uncaught OverflowError (exit 1).
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "timing", "noise", math.inf),
+    ("plan", "roster", "base_speed", math.inf),
+    *[("simulate", "comm", key, math.inf) for key in (
         "link_latency", "per_byte_cost", "bytes_per_element", "broadcast_cost")],
+    ("simulate", "timing", "noise", 10 ** 400),
 ], ids=["noise", "base_speed", "link_latency", "per_byte_cost",
-        "bytes_per_element", "broadcast_cost"])
-def test_an_infinite_number_is_exit_2(tmp_path, capsys, command, section, key):
+        "bytes_per_element", "broadcast_cost", "noise-past-float-range"])
+def test_an_infinite_number_is_exit_2(tmp_path, capsys, command, section, key,
+                                      value):
     doc = example_doc(tmp_path / "out", schemes=["proposed"])
-    doc.setdefault(section, {})[key] = math.inf
+    doc.setdefault(section, {})[key] = value
     assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
-    assert (f"{section}.{key}: expected a finite number, got inf"
+    assert (f"{section}.{key}: expected a finite number, got {value!r}"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 

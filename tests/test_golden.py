@@ -2,8 +2,9 @@
 that the benchmark's toy configs and the README config write, and the exit
 code of every command, as committed in golden.json.  The README config
 runs with its own schemes and once each with ``--scheme poly`` and
-``--scheme uncoded``, and ``verify --plan`` reads back each seed's stored
-dense plan.
+``--scheme uncoded``, ``verify --plan`` reads back each seed's stored
+dense plan, and ``simulate`` runs it without its matrix and bench
+sections, on the one-row matrix the roster's base_width gives.
 
 Every command runs in-process through ``cli.main``.  A change that means
 to change outputs regenerates the file with
@@ -66,6 +67,15 @@ def _cases(tmp: Path):
             yield case, out, [["plan", *common], ["verify", *common],
                               ["simulate", *common, "--require-decode"],
                               ["fl-demo", *common, "--check"]]
+    # no matrix section: rounds decode the products of a one-row matrix
+    bare = tmp / "readme-no-matrix.json"
+    bare.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text())
+                                .items() if k not in ("matrix", "bench")}))
+    for seed in README_SEEDS:
+        case = f"readme/matrix=none/seed={seed}"
+        out = tmp / case
+        yield case, out, [["simulate", "--config", str(bare), "--seed",
+                           str(seed), "--out", str(out), "--require-decode"]]
     # a stored plan of a scheme other than proposed, read back by verify
     for seed in README_SEEDS:
         case = f"readme/plan=dense/seed={seed}"

@@ -15,6 +15,15 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def memo_of(plan):
+    """Products of the plan over one standard normal row whose blocks are
+    roster.base_width wide: the matrix simulate draws with no matrix."""
+    g = rng(0)
+    A = mx.random_dense(1, plan.k_bar * plan.roster.base_width, g)
+    wl = cd.encode(mx.partition_uniform(A, plan.k_bar), plan)
+    return dec.ProductMemo(wl, g.standard_normal(1))
+
+
 def table1_rosters():
     return cd.make_roster([1] * 18, [1] * 2, base_width=4)
 
@@ -26,9 +35,9 @@ def test_transfer_counts_proposed_vs_dense():
     roster = table1_rosters()
     prop = cd.build_heterogeneous_plan(roster, seed=0)
     dense = cd.build_dense_plan(roster, seed=0)
-    r1 = sim.simulate_round(prop, sim.TimingModel(noise=0),
+    r1 = sim.simulate_round(memo_of(prop), sim.TimingModel(noise=0),
                             sim.CommModel(), rng(1))
-    r2 = sim.simulate_round(dense, sim.TimingModel(noise=0),
+    r2 = sim.simulate_round(memo_of(dense), sim.TimingModel(noise=0),
                             sim.CommModel(), rng(1))
     assert len(prop.raw_transfers()) == 36 and len(prop.coded_transfers()) == 2
     assert len(dense.raw_transfers()) == 342 and len(dense.coded_transfers()) == 0
@@ -46,9 +55,9 @@ def test_delay_dominance_any_nonnegative_comm_model():
                              per_byte_cost=float(g.uniform(0, 1e-6)),
                              bytes_per_element=float(g.uniform(1, 16)),
                              broadcast_cost=float(g.uniform(0, 2)))
-        d1 = sim.simulate_round(prop, sim.TimingModel(noise=0), comm,
+        d1 = sim.simulate_round(memo_of(prop), sim.TimingModel(noise=0), comm,
                                 rng(3)).comm_delay
-        d2 = sim.simulate_round(dense, sim.TimingModel(noise=0), comm,
+        d2 = sim.simulate_round(memo_of(dense), sim.TimingModel(noise=0), comm,
                                 rng(3)).comm_delay
         assert d1 <= d2
 
@@ -69,8 +78,10 @@ def test_zero_noise_completion_is_deterministic():
     roster = cd.make_roster([1] * 6, [1] * 2, base_width=5, base_speed=2.0)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     comm = sim.CommModel(per_byte_cost=0.0)
-    a = sim.simulate_round(plan, sim.TimingModel(noise=0), comm, rng(4))
-    b = sim.simulate_round(plan, sim.TimingModel(noise=0), comm, rng(99))
+    a = sim.simulate_round(memo_of(plan), sim.TimingModel(noise=0), comm,
+                           rng(4))
+    b = sim.simulate_round(memo_of(plan), sim.TimingModel(noise=0), comm,
+                           rng(99))
     # alpha/beta = 5/2 per worker, no comm cost
     assert a.completion_time == pytest.approx(2.5)
     assert a.completion_time == b.completion_time
@@ -81,7 +92,8 @@ def test_comm_delay_shifts_every_finish_time():
     roster = cd.make_roster([1] * 4, [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     comm = sim.CommModel(link_latency=1.0, per_byte_cost=0.0)
-    rep = sim.simulate_round(plan, sim.TimingModel(noise=0), comm, rng(5))
+    rep = sim.simulate_round(memo_of(plan), sim.TimingModel(noise=0), comm,
+                             rng(5))
     # 4*1 raw + 1 coded transfers, one time unit each
     assert rep.comm_delay == pytest.approx(5.0)
     assert min(rep.compute_finish.values()) >= rep.comm_delay
@@ -91,7 +103,7 @@ def test_virtual_workers_run_sequentially():
     # one client with multiplier 3 owns three workers finishing in sequence
     roster = cd.make_roster([3, 1], [1], base_width=6)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
+    rep = sim.simulate_round(memo_of(plan), sim.TimingModel(noise=0),
                              sim.CommModel(per_byte_cost=0.0), rng(6))
     # per-task time for the multiplier-3 client is 6/3 = 2
     assert rep.compute_finish[0] == pytest.approx(2.0)
@@ -106,7 +118,7 @@ def test_explicit_failures_are_coupled():
     roster = cd.make_roster([2, 1, 1], [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     timing = sim.TimingModel(noise=0, failed_clients=(0,))
-    rep = sim.simulate_round(plan, timing, sim.CommModel(), rng(7))
+    rep = sim.simulate_round(memo_of(plan), timing, sim.CommModel(), rng(7))
     assert rep.failed_clients == (0,)
     owned = {w for w, c in enumerate(plan.roster.owner) if c == 0}
     assert owned and not owned & set(rep.compute_finish)
@@ -115,12 +127,12 @@ def test_explicit_failures_are_coupled():
 def test_two_stragglers_decode_three_do_not():
     roster = cd.make_roster([1] * 10, [1] * 2, base_width=3)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    ok = sim.simulate_round(plan,
+    ok = sim.simulate_round(memo_of(plan),
                             sim.TimingModel(noise=0, failed_clients=(3, 7)),
                             sim.CommModel(), rng(8))
     assert ok.decode_ok and ok.decode_error is None
     assert ok.decode_residual <= dec.DECODE_TOL
-    bad = sim.simulate_round(plan,
+    bad = sim.simulate_round(memo_of(plan),
                              sim.TimingModel(noise=0, failed_clients=(3, 7, 9)),
                              sim.CommModel(), rng(9))
     assert not bad.decode_ok
@@ -133,7 +145,7 @@ def test_late_clients_finish_after_on_time_ones_and_still_decode():
     # one more than s_bar = 2, so decoding needs one late product
     _, plan = example2()
     late = (0, 5)
-    rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
+    rep = sim.simulate_round(memo_of(plan), sim.TimingModel(noise=0),
                              sim.CommModel(), rng(15), late=late)
     owner = plan.roster.owner
     on_time = [t for w, t in rep.compute_finish.items() if owner[w] not in late]
@@ -151,8 +163,8 @@ def test_probabilistic_failures_use_rng():
     roster = cd.make_roster([1] * 8, [1], base_width=2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     timing = sim.TimingModel(noise=0, failure_prob=0.5)
-    rep = sim.simulate_round(plan, timing, sim.CommModel(), rng(10))
-    rep2 = sim.simulate_round(plan, timing, sim.CommModel(), rng(10))
+    rep = sim.simulate_round(memo_of(plan), timing, sim.CommModel(), rng(10))
+    rep2 = sim.simulate_round(memo_of(plan), timing, sim.CommModel(), rng(10))
     assert rep.failed_clients == rep2.failed_clients   # same stream, same draw
     assert 0 < len(rep.failed_clients) < 9
 
@@ -163,9 +175,9 @@ def test_simulate_with_real_workload():
     A = mx.random_dense(9, 18, rng(11))
     wl = cd.encode(mx.partition_uniform(A, 6), plan)
     x = rng(12).standard_normal(9)
-    rep = sim.simulate_round(plan, sim.TimingModel(noise=1.0),
-                             sim.CommModel(), rng(13),
-                             products=dec.ProductMemo(wl, x))
+    rep = sim.simulate_round(dec.ProductMemo(wl, x),
+                             sim.TimingModel(noise=1.0), sim.CommModel(),
+                             rng(13))
     assert rep.decode_ok
     # bytes use the real block shape: 9 rows x 3 cols x 8 bytes x transfers
     assert rep.total_bytes_d2d == pytest.approx(9 * 3 * 8 * len(plan.transfers))
@@ -190,8 +202,8 @@ def test_rounds_sharing_a_memo_compute_each_product_once(monkeypatch):
     memo = dec.ProductMemo(wl, x)
     used = []
     for t in range(20):
-        rep = sim.simulate_round(plan, sim.TimingModel(noise=1.0),
-                                 sim.CommModel(), rng(t), products=memo)
+        rep = sim.simulate_round(memo, sim.TimingModel(noise=1.0),
+                                 sim.CommModel(), rng(t))
         used.append(rep.decoded.used_workers)
         # a memo decode equals the decode of a freshly computed problem
         again = dec.decode(fresh(wl, x, rep.decoded.used_workers))
@@ -206,7 +218,7 @@ def test_task_times_follow_the_roster():
     # and passive clients; the c=2 client's tasks run one after another
     roster = cd.make_roster([2, 1], [1], base_width=4)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
-    rep = sim.simulate_round(plan, sim.TimingModel(noise=0),
+    rep = sim.simulate_round(memo_of(plan), sim.TimingModel(noise=0),
                              sim.CommModel(per_byte_cost=0.0), rng(14))
     assert rep.compute_finish == pytest.approx({0: 2.0, 1: 4.0, 2: 4.0, 3: 4.0})
 
