@@ -2,7 +2,7 @@
 decodes real products of an encoded matrix (see _make_matrix).
 
 Exit codes: 0 success, 1 diverging descent, 2 configuration error (a bad
-config or stored plan; nothing is written), 3 verification failure, 4
+config, stored plan or out; nothing is written), 3 verification failure, 4
 decode failure where success was required.  All CSV output is written
 with repr-formatted numbers and no timestamps, so a rerun with the same
 config, seed, numpy, scipy and BLAS thread count reproduces the files
@@ -86,7 +86,10 @@ def _write_manifest(out_dir: Path, cfg_hash: str | None, seed: int,
 def _out_dir(path) -> Path:
     # called just before a command's first write: a rejected run leaves none
     d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as e:    # a file in the way, or no permission
+        raise ConfigError(f"out: {e}") from e
     return d
 
 
@@ -293,9 +296,9 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
         bench_rows, time_rows = [], []
         for zf in cfg.bench.zero_fractions:
             Pz = mx.partition_uniform(_make_matrix(cfg, zf), cfg.roster.k_bar)
-            xz = np.random.default_rng([cfg.seed, _TAG_X]).standard_normal(Pz.rows)
+            # every level has P's rows, so it reads the rounds' x
             table = sim.sparse_compute_benchmark(
-                Pz, [plans[s] for s in cfg.schemes], xz, zero_fraction=zf,
+                Pz, [plans[s] for s in cfg.schemes], x, zero_fraction=zf,
                 trials=cfg.bench.timing_trials, warmup=cfg.bench.warmup)
             for r in table:
                 bench_rows.append([r.scheme, r.zero_fraction, r.k_bar,

@@ -188,6 +188,8 @@ class CodingPlan:
             if len(set(s.support)) != len(s.support):
                 # G would keep one coefficient where encode sums them all
                 raise PlanError(f"worker {w}: support repeats a block")
+            if not all(map(math.isfinite, s.coeffs)):
+                raise PlanError(f"worker {w}: coefficients {s.coeffs} not finite")
         n_clients = self.roster.n_clients
         for t in self.transfers:
             if t.kind not in ("raw", "coded"):
@@ -484,17 +486,24 @@ def roster_to_dict(roster: ClientRoster) -> dict:
     }
 
 
+def _stored(v, kind=int):
+    """A stored int (or, for kind=float, any number) as written, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, (int, kind)):
+        raise TypeError(f"expected {kind.__name__}, got {v!r}")
+    return kind(v)
+
+
 def roster_from_dict(d: dict) -> ClientRoster:
     """Rebuild a stored roster through make_roster, which must give it back."""
     try:
         clients = tuple(
-            Client(int(c["id"]), str(c["role"]), int(c["type_index"]),
-                   int(c["multiplier"]))
+            Client(_stored(c["id"]), str(c["role"]), _stored(c["type_index"]),
+                   _stored(c["multiplier"]))
             for c in d["clients"])
         roster = make_roster(
             [c.multiplier for c in clients if c.role == "active"],
             [c.multiplier for c in clients if c.role == "passive"],
-            int(d["base_width"]), float(d["base_speed"]))
+            _stored(d["base_width"]), _stored(d["base_speed"], float))
     except (KeyError, TypeError, ValueError) as e:
         raise PlanError(f"malformed roster: {e}") from e
     if roster.clients != clients:
@@ -541,15 +550,16 @@ def plan_from_dict(d: dict) -> CodingPlan:
     roster = roster_from_dict(d["roster"])
     try:
         scheme = str(d["scheme"])
-        stored = int(d["k_bar"]), int(d["s_bar"])
-        workers = sorted(d["workers"], key=lambda w: int(w["worker"]))
-        layout = [(int(w["worker"]), int(w["owner"])) for w in workers]
-        specs = tuple(CodedBlockSpec(tuple(int(q) for q in w["support"]),
-                                     tuple(float(v) for v in w["coeffs"]),
-                                     str(w.get("seed_tag", "")))
-                      for w in workers)
+        stored = _stored(d["k_bar"]), _stored(d["s_bar"])
+        workers = sorted(d["workers"], key=lambda w: _stored(w["worker"]))
+        layout = [(_stored(w["worker"]), _stored(w["owner"])) for w in workers]
+        specs = tuple(CodedBlockSpec(
+            tuple(map(_stored, w["support"])),
+            tuple(_stored(v, float) for v in w["coeffs"]),
+            str(w.get("seed_tag", ""))) for w in workers)
         transfers = tuple(
-            Transfer(int(t["src"]), int(t["dst"]), str(t["kind"]), int(t["payload"]))
+            Transfer(_stored(t["src"]), _stored(t["dst"]), str(t["kind"]),
+                     _stored(t["payload"]))
             for t in d["transfers"])
     except (KeyError, TypeError, ValueError) as e:
         raise PlanError(f"malformed plan: {e}") from e

@@ -47,9 +47,9 @@ The matching certificate follows from rank.  If sigma_min of G_S clears the
 SVD tolerance, G_S is nonsingular (the computed singular values lie within
 rounding of the exact ones), so its determinant has a nonzero Leibniz
 term: a permutation pairing every selected equation with a distinct unknown
-in its support, i.e. a perfect matching of the support graph.  Explicit
-augmenting-path matchings are therefore only needed on rank failures, where
-they tell a structural defect (no matching) from an unlucky cancellation.
+in its support, i.e. a perfect matching of the support graph.  So only rank
+failures are matched, by scipy's bipartite matching on the supports: that
+tells a structural defect (no matching) from an unlucky cancellation.
 """
 
 from __future__ import annotations
@@ -373,32 +373,6 @@ def check_all_subsets(plan: CodingPlan, sample: int | None = None,
 # ---------------------------------------------------------------------------
 # matching certificates
 
-def maximum_bipartite_matching(adjacency, n_right: int):
-    """Augmenting-path maximum matching; adjacency[i] lists right-vertices.
-
-    Returns match_left where match_left[i] is the right vertex matched to
-    left vertex i, or -1.  Graphs here have tens of vertices, so the
-    simple O(V*E) routine is plenty.
-    """
-    match_left = [-1] * len(adjacency)
-    match_right = [-1] * n_right
-
-    def augment(i, seen):
-        for j in adjacency[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_right[j] == -1 or augment(match_right[j], seen):
-                match_left[i] = j
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(len(adjacency)):
-        augment(i, set())
-    return match_left
-
-
 @dataclass(frozen=True)
 class MatchingResult:
     perfect: bool
@@ -406,14 +380,21 @@ class MatchingResult:
 
 
 def check_hall_condition(plan: CodingPlan, subset) -> MatchingResult:
-    """Try to match each selected equation to a distinct unknown it touches."""
-    subset = tuple(subset)
-    if len(subset) != plan.k_bar:
-        raise ValueError(f"subset size {len(subset)} != k_bar {plan.k_bar}")
-    adjacency = [sorted(plan.specs[w].support) for w in subset]
-    match = maximum_bipartite_matching(adjacency, plan.k_bar)
-    pairs = tuple((w, j) for w, j in zip(subset, match) if j != -1)
-    return MatchingResult(len(pairs) == plan.k_bar, pairs)
+    """Match each selected equation to a distinct unknown in its support
+    (the support, not G's nonzeros: the certificate is structural)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    subset, k = tuple(subset), plan.k_bar
+    if len(subset) != k:
+        raise ValueError(f"subset size {len(subset)} != k_bar {k}")
+    supports = [plan.specs[w].support for w in subset]
+    indptr = np.cumsum([0] + [len(s) for s in supports])
+    indices = np.array([q for s in supports for q in s], dtype=np.int64)
+    graph = csr_array((np.ones(indices.size), indices, indptr), shape=(k, k))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    pairs = tuple((w, int(j)) for w, j in zip(subset, match) if j != -1)
+    return MatchingResult(len(pairs) == k, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -594,7 +594,12 @@ def test_a_support_that_repeats_a_block_is_rejected():
     (lambda p: {"transfers": (dataclasses.replace(p.transfers[0], dst=9),
                               *p.transfers[1:])},
      r"transfer endpoints \(1, 9\) out of range"),
-], ids=["coeff-count", "owner", "transfer-endpoint"])
+    # it used to be accepted, and certify died in an SVD that did not converge
+    (lambda p: {"specs": (dataclasses.replace(p.specs[0],
+                                              coeffs=(float("nan"), 1.0)),
+                          *p.specs[1:])},
+     r"worker 0: coefficients \(nan, 1.0\) not finite"),
+], ids=["coeff-count", "owner", "transfer-endpoint", "nan-coeff"])
 def test_a_plan_built_in_code_is_checked_like_a_stored_one(edit, msg):
     plan = cd.build_heterogeneous_plan(cd.make_roster([1, 1, 1], [1]), seed=0)
     with pytest.raises(cd.PlanError, match=msg):

@@ -709,10 +709,26 @@ def _without(key):
      "base_speed must be finite and > 0, got nan"),
     (lambda d: d["transfers"][0].update(dst=9) or d,
      "transfer endpoints (1, 9) out of range"),
+    # it used to die in an SVD that did not converge, with exit 1
+    (lambda d: d["workers"][0]["coeffs"].__setitem__(0, math.nan) or d,
+     "worker 0: coefficients (nan, "),
+    # each used to be coerced by int() or float(), and the plan certified
+    (lambda d: d["workers"][0].update(support=[0.9, 1.2, 2.5]) or d,
+     "expected int, got 0.9"),
+    (lambda d: d["workers"][1].update(worker="1") or d,
+     "expected int, got '1'"),
+    (lambda d: d["roster"]["clients"][2].update(multiplier=1.9) or d,
+     "expected int, got 1.9"),
+    (lambda d: d["workers"][0]["coeffs"].__setitem__(0, "0.25") or d,
+     "expected float, got '0.25'"),
+    (lambda d: d["transfers"][0].update(payload=True) or d,
+     "expected int, got True"),
 ], ids=["no-scheme", "no-roster", "array", "zero-multiplier",
         "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme",
         "repeated-block", "stored-k_bar", "coeff-count", "owner",
-        "moved-owner", "infinite-speed", "nan-speed", "transfer-endpoint"])
+        "moved-owner", "infinite-speed", "nan-speed", "transfer-endpoint",
+        "nan-coeff", "float-support", "string-worker", "float-multiplier",
+        "string-coeff", "bool-payload"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
     # exit 1 is a diverging descent; a bad plan file is a config error
     cfg = write_config(tmp_path, example_doc(tmp_path / "out",
@@ -726,6 +742,19 @@ def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):
                      "--out", str(tmp_path / "v")]) == 2
     assert msg in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "verify", "simulate", "fl-demo"])
+def test_an_out_that_is_a_file_is_exit_2(tmp_path, capsys, command):
+    # it used to die with an uncaught FileExistsError, exit 1
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    cfg = write_config(tmp_path, example_doc(out, fl={"rows": 14, "steps": 2}))
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg]) == 2
+    assert "out: " in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
 
 def test_verify_stored_plan_with_workers_reversed(tmp_path):

@@ -413,13 +413,43 @@ def test_matching_single_worker():
     assert result.perfect and result.matching == ((0, 0),)
 
 
+def support_plan(supports, n_active, n_passive=0):
+    """A plan built by hand: worker w on supports[w], unit coefficients."""
+    roster = cd.make_roster([1] * n_active, [1] * n_passive)
+    specs = tuple(cd.CodedBlockSpec(tuple(s), (1.0,) * len(s), "")
+                  for s in supports)
+    return cd.CodingPlan("proposed", roster, specs, ())
+
+
 def test_matching_detects_hall_violation():
-    # three left vertices crowded onto two right vertices
-    match = dec.maximum_bipartite_matching([[0, 1], [0, 1], [0, 1]], 3)
-    assert sum(1 for m in match if m != -1) == 2
-    # and a graph where augmenting paths are needed to reach the maximum
-    match = dec.maximum_bipartite_matching([[0], [0, 1], [1, 2]], 3)
-    assert match == [0, 1, 2]
+    # three workers crowded onto the two blocks {0, 1}
+    result = dec.check_hall_condition(support_plan([[0, 1]] * 3, 3), range(3))
+    assert not result.perfect and len(result.matching) == 2
+    # a graph with exactly one perfect matching
+    result = dec.check_hall_condition(support_plan([[0], [0, 1], [1, 2]], 3),
+                                      range(3))
+    assert result.perfect and result.matching == ((0, 0), (1, 1), (2, 2))
+    # a worker with an empty support matches nothing
+    plan = support_plan([[0], [], [1]], 2, 1)
+    assert dec.check_hall_condition(plan, [0, 1]).matching == ((0, 0),)
+    assert dec.check_hall_condition(plan, [0, 2]).perfect
+    # a zero coefficient is still an edge: the certificate is structural
+    plan = cd.CodingPlan("proposed", plan.roster, (
+        plan.specs[0], cd.CodedBlockSpec((1,), (0.0,), "")), ())
+    assert np.linalg.matrix_rank(plan.G) == 1
+    assert dec.check_hall_condition(plan, [0, 1]).perfect
+
+
+def test_matching_on_a_long_chain():
+    # worker i on {i, i+1 mod k}: the last worker's first choice, block 0,
+    # frees only along the whole chain, which a recursive augmenting path
+    # could not follow past the interpreter's recursion limit
+    k = 1500
+    supports = [[i, (i + 1) % k] for i in range(k)] + [[0, 1]]
+    plan = support_plan(supports, k, 1)
+    result = dec.check_hall_condition(plan, range(k))
+    assert result.perfect
+    assert sorted(b for _, b in result.matching) == list(range(k))
 
 
 def test_check_hall_rejects_wrong_subset_size():
