@@ -256,6 +256,13 @@ BENCH_HEADER = ["scheme", "zero_fraction", "k_bar", "n_workers", "alpha",
 BENCH_TIMES_HEADER = ["scheme", "zero_fraction", "mean_time_s", "max_time_s"]
 
 
+def _bench_level(cfg, pairs, x, zf):
+    # every level has the rounds' rows, so it reads the rounds' x
+    return sim.sparse_compute_benchmark(pairs, x, zero_fraction=zf,
+                                        trials=cfg.bench.timing_trials,
+                                        warmup=cfg.bench.warmup)
+
+
 def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     outputs = []
 
@@ -281,10 +288,18 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
             privacy_rows.append([s, c.id, c.role, c.type_index, c.multiplier,
                                  e.raw_fraction, e.coded_support_fraction])
 
-    # the coded blocks serve the rounds only; free them before the bench
-    # section generates its own matrices (at 1000 x 31500 and 99% zeros
-    # the dense scheme's blocks alone take about 67 MB, their index arrays
-    # shared)
+    # the bench section would regenerate this very matrix at its own level,
+    # so that level is measured on the rounds' blocks; then they are freed
+    # before the other levels generate their matrices (at 1000 x 31500 and
+    # 99% zeros the dense scheme's blocks alone take about 67 MB, their
+    # index arrays shared)
+    levels = cfg.bench.zero_fractions if cfg.bench is not None else ()
+    bench_plans = [plans[s] for s in cfg.schemes]
+    tables = {}
+    if cfg.matrix is not None and cfg.matrix.zero_fraction in levels:
+        tables[cfg.matrix.zero_fraction] = _bench_level(
+            cfg, [(p, workload_by_scheme[p.scheme].coded) for p in bench_plans],
+            x, cfg.matrix.zero_fraction)
     del workload_by_scheme
 
     out = _out_dir(cfg.out)
@@ -292,20 +307,22 @@ def cmd_simulate(cfg: ExperimentConfig, require_decode: bool) -> int:
     _write_csv(out / "privacy.csv", PRIVACY_HEADER, privacy_rows)
     outputs += [out / "round.csv", out / "privacy.csv"]
 
+    for zf in levels:
+        if zf in tables:    # the own level, or a repeat: measured once
+            continue
+        Pz = mx.partition_uniform(_make_matrix(cfg, zf), cfg.roster.k_bar)
+        # each block is encoded as it is measured, and dropped after
+        tables[zf] = _bench_level(
+            cfg, [(p, (b for _, b in cd.iter_encoded_blocks(Pz, p)))
+                  for p in bench_plans], x, zf)
+        del Pz
     if cfg.bench is not None:
         bench_rows, time_rows = [], []
-        for zf in cfg.bench.zero_fractions:
-            Pz = mx.partition_uniform(_make_matrix(cfg, zf), cfg.roster.k_bar)
-            # every level has P's rows, so it reads the rounds' x
-            table = sim.sparse_compute_benchmark(
-                Pz, [plans[s] for s in cfg.schemes], x, zero_fraction=zf,
-                trials=cfg.bench.timing_trials, warmup=cfg.bench.warmup)
-            for r in table:
-                bench_rows.append([r.scheme, r.zero_fraction, r.k_bar,
-                                   r.n_workers, r.alpha, r.rows, r.mean_nnz,
-                                   r.max_nnz, r.trials])
-                time_rows.append([r.scheme, r.zero_fraction, r.mean_time,
-                                  r.max_time])
+        for zf in levels:
+            for r in tables[zf]:
+                bench_rows.append([r.scheme, zf, r.k_bar, r.n_workers, r.alpha,
+                                   r.rows, r.mean_nnz, r.max_nnz, r.trials])
+                time_rows.append([r.scheme, zf, r.mean_time, r.max_time])
         _write_csv(out / "benchmark.csv", BENCH_HEADER, bench_rows)
         _write_csv(out / "benchmark_times.csv", BENCH_TIMES_HEADER, time_rows)
         outputs += [out / "benchmark.csv", out / "benchmark_times.csv"]

@@ -12,8 +12,8 @@ M^T x), ``nnz``, ``column_slice`` and ``to_dense``.
 work distributed to clients; it holds the matrix itself, not block copies.
 
 ``scipy.sparse`` and ``scipy.io`` are imported inside the functions that
-make a sparse matrix or read or write a ``.mtx`` file, never at module
-level: together they cost about 0.2 s of every process start, and dense
+make a sparse matrix or read a ``.mtx`` file, never at module level:
+together they cost about 0.2 s of every process start, and dense
 planning, certification and rounds never touch them.
 """
 
@@ -108,9 +108,11 @@ class SparseMatrix:
     arithmetic are wrapped without re-normalising: they have no duplicate
     coordinates and their pattern lies within the union of the operand
     patterns, but their index order within a column is unspecified.
+    The transpose ``matvec_t`` reads is built once, as a CSR view of the
+    same frozen arrays.
     """
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "_t")
     kind = "sparse"
 
     def __init__(self, m):
@@ -119,6 +121,7 @@ class SparseMatrix:
         # normalise a private copy: the caller's matrix stays as it was
         self.m = _freeze_csc(_canonical(_sp.csc_matrix(m, dtype=np.float64,
                                                        copy=True)))
+        self._t = self.m.T
 
     @classmethod
     def _wrap(cls, m: _sp.csc_matrix) -> "SparseMatrix":
@@ -131,6 +134,7 @@ class SparseMatrix:
         # cancellations are not hunted down either.
         out = object.__new__(cls)
         out.m = _freeze_csc(m.tocsc())
+        out._t = out.m.T
         return out
 
     @property
@@ -149,7 +153,7 @@ class SparseMatrix:
         if x.shape[0] != self.rows:
             raise ShapeError(f"x has length {x.shape[0]}, expected {self.rows}")
         # csc transpose is a csr view, so this is a row-major SpMV
-        return np.asarray(self.m.T @ x).ravel()
+        return np.asarray(self._t @ x).ravel()
 
     def column_slice(self, j0: int, j1: int) -> "SparseMatrix":
         return SparseMatrix._wrap(self.m[:, j0:j1])
@@ -289,25 +293,12 @@ def load_dense_csv(path) -> DenseMatrix:
     body = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
     return DenseMatrix(body)
 
-def save_dense_csv(M, path) -> None:
-    M = as_matrix(M)
-    header = ",".join(f"c{j}" for j in range(M.cols))
-    np.savetxt(path, M.to_dense(), delimiter=",", header=header, comments="")
-
 
 def load_sparse_mm(path) -> SparseMatrix:
     """Sparse matrix from a Matrix Market coordinate file."""
     from scipy.io import mmread
 
     return SparseMatrix(mmread(path))
-
-
-def save_sparse_mm(M, path) -> None:
-    from scipy import sparse as _sp
-    from scipy.io import mmwrite
-
-    M = as_matrix(M)
-    mmwrite(path, M.m if M.kind == "sparse" else _sp.coo_matrix(M.to_dense()))
 
 
 def load_matrix(path) -> Matrix:

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import decoding as dec
-from .coding import CodingPlan, encode, iter_encoded_blocks
-from .matrices import PartitionedMatrix, as_matrix, partition_uniform
+from .coding import CodingPlan, encode
+from .matrices import as_matrix, partition_uniform
 
 
 MAX_RETRIES = 5   # fresh straggler draws per fl_demo step before giving up
@@ -208,13 +208,14 @@ def _median_matvec_time(block, x, trials: int, warmup: int) -> float:
     return float(np.median(times))
 
 
-def sparse_compute_benchmark(P: PartitionedMatrix, plans, x,
-                             zero_fraction: float = float("nan"),
+def sparse_compute_benchmark(pairs, x, zero_fraction: float = float("nan"),
                              trials: int = 11, warmup: int = 2) -> list:
     """Per-scheme nnz and SpMV timing over every worker's coded block.
 
-    Blocks are encoded one at a time and dropped after measurement, so
-    memory stays bounded by a single coded block.  Timings are medians of
+    ``pairs`` holds (plan, blocks), blocks being the plan's coded blocks in
+    worker order, one row each.  Each block is measured once and not kept,
+    so blocks handed over lazily (as ``iter_encoded_blocks`` yields them)
+    keep memory bounded by a single coded block.  Timings are medians of
     ``trials`` runs after ``warmup`` discarded runs; only orderings across
     schemes are meaningful.
     """
@@ -222,16 +223,16 @@ def sparse_compute_benchmark(P: PartitionedMatrix, plans, x,
         raise SimConfigError("trials must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
     rows = []
-    for plan in plans:
+    for plan, blocks in pairs:
         nnzs = []
         times = []
-        for _, blk in iter_encoded_blocks(P, plan):
+        for blk in blocks:
             nnzs.append(blk.nnz())
             times.append(_median_matvec_time(blk, x, trials, warmup))
         rows.append(BenchmarkRow(
             scheme=plan.scheme, zero_fraction=zero_fraction,
             k_bar=plan.k_bar, n_workers=plan.n_bar,
-            alpha=P.alpha, rows=P.rows,
+            alpha=blk.cols, rows=blk.rows,
             mean_nnz=float(np.mean(nnzs)), max_nnz=int(np.max(nnzs)),
             mean_time=float(np.mean(times)), max_time=float(np.max(times)),
             trials=trials))

@@ -18,6 +18,7 @@ import pytest
 
 from codedfl import cli, coding as cd, decoding as dec, matrices as mx
 from codedfl import simulate as sim
+from helpers import lazy_blocks
 
 
 def _line(ok: bool, name: str, detail: str) -> None:
@@ -202,7 +203,8 @@ def sparsity_tables():
         x = rng.standard_normal(4000)
         # the benchmark's own 11 timed runs and 2 warmups per block: a
         # median of 5 moved with host load between one density and the next
-        rows = sim.sparse_compute_benchmark(P, plans, x, zero_fraction=zf)
+        rows = sim.sparse_compute_benchmark(lazy_blocks(P, plans), x,
+                                            zero_fraction=zf)
         tables[zf] = {r.scheme: r for r in rows}
     return tables
 

@@ -490,6 +490,138 @@ def test_encoded_cancellation_is_not_stored():
     assert not np.shares_memory(coded[0].m.indices, coded[1].m.indices)
 
 
+def one_column_per_block(A, k, alpha, g):
+    # the overlay with one column per block and the single matvec S @ g
+    # over it: the reference the chunked overlay must match bit for bit
+    rows = A.shape[0]
+    flat = np.repeat(np.arange(A.shape[1]) % alpha * rows, np.diff(A.indptr))
+    flat += A.indices
+    mark = np.zeros(alpha * rows, dtype=bool)
+    mark[flat] = True
+    pos = np.flatnonzero(mark)
+    idx = sp.get_index_dtype(maxval=max(rows, alpha, A.nnz))
+    rank = np.cumsum(mark, dtype=idx) - 1
+    S = sp.csc_matrix((A.data, rank[flat], A.indptr[::alpha]),
+                      shape=(pos.size, k))
+    indptr = np.searchsorted(pos, np.arange(alpha + 1) * rows).astype(idx)
+    indices = (pos % rows).astype(idx)
+    vals = S @ g
+    if not vals.all():
+        keep = vals != 0
+        vals, indices = vals[keep], indices[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(
+            indptr.dtype)
+    return sp.csc_matrix((vals, indices, indptr), shape=(rows, alpha))
+
+
+def assert_same_arrays(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def cancelling_blocks(rows, alpha):
+    # blocks 0 and 1 are equal, so g = (1, -1, ...) cancels every cell that
+    # blocks 2 and 3 leave empty, exactly
+    B, C, D = (mx.random_sparse(rows, alpha, 0.4, rng(s)).to_dense()
+               for s in (34, 35, 36))
+    return mx.SparseMatrix(np.hstack([B, B, C, D])).m
+
+
+def unsorted(m):
+    # the same matrix with every column's row indices reversed
+    m = m.copy()
+    for j in range(m.shape[1]):
+        lo, hi = m.indptr[j], m.indptr[j + 1]
+        m.indices[lo:hi] = m.indices[lo:hi][::-1].copy()
+        m.data[lo:hi] = m.data[lo:hi][::-1].copy()
+    m.has_sorted_indices = False
+    return m
+
+
+# (matrix, k, alpha, fewest chunks); the toy sizes of tests/golden.json all
+# fit in one chunk
+OVERLAYS = {
+    # 3 chunks, boundaries inside columns of 300 cells
+    "three-chunks": (lambda: mx.random_sparse(300, 2400, 0.5, rng(37)).m,
+                     4, 600, 3),
+    "cancel-across-chunks": (lambda: cancelling_blocks(300, 600), 4, 600, 3),
+    "unsorted-indices": (
+        lambda: unsorted(mx.random_sparse(300, 2400, 0.5, rng(38)).m), 4, 600,
+        3),
+    "below-one-chunk": (lambda: mx.random_sparse(40, 36, 0.1, rng(39)).m,
+                        6, 6, 1),
+    # block 0 is full, so the union is exactly one chunk of 256 x 256 cells
+    "exactly-one-chunk": (lambda: sp.hstack([
+        sp.csc_matrix(rng(40).standard_normal((256, 256))),
+        mx.random_sparse(256, 256, 0.1, rng(41)).m]).tocsc(), 2, 256, 1),
+    "all-zero": (lambda: mx.SparseMatrix(np.zeros((30, 12))).m, 4, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", OVERLAYS)
+def test_chunked_overlay_matches_one_column_per_block(name):
+    make, k, alpha, chunks = OVERLAYS[name]
+    A = make()
+    union = cd._overlay(A, k, alpha)
+    S, indptr = union[0], union[2]
+    n_union = S.shape[0]
+    assert S.shape[1] == k * max(chunks, -(-n_union // cd.OVERLAY_CHUNK))
+    if chunks > 1:
+        assert n_union > (chunks - 1) * cd.OVERLAY_CHUNK
+        # a chunk boundary falls inside a column of the union
+        assert set(range(cd.OVERLAY_CHUNK, n_union, cd.OVERLAY_CHUNK)) \
+            - set(indptr.tolist())
+    if name == "exactly-one-chunk":
+        assert n_union == cd.OVERLAY_CHUNK
+    coeffs = rng(42).uniform(-1.0, 1.0, (3, k))
+    coeffs[2, 1] = 0.0
+    if name == "cancel-across-chunks":
+        coeffs[0, :2] = (1.0, -1.0)
+    for g in coeffs:
+        want = one_column_per_block(A, k, alpha, g)
+        assert_same_arrays(cd._combine(union, g), want)
+    if name == "cancel-across-chunks":
+        # the cancelled cells lie in more than one chunk, and are dropped
+        vals = S @ np.tile(coeffs[0], S.shape[1] // k)
+        zeros = np.flatnonzero(vals == 0)
+        assert len(set(zeros // cd.OVERLAY_CHUNK)) > 1
+        assert cd._combine(union, coeffs[0]).nnz == n_union - zeros.size
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_small_chunks_match_one_column_per_block(monkeypatch, chunk):
+    # many chunks, down to a cell each, on a matrix a chunk of 2^16 covers
+    monkeypatch.setattr(cd, "OVERLAY_CHUNK", chunk)
+    A = cancelling_blocks(20, 9)
+    union = cd._overlay(A, 4, 9)
+    assert union[0].shape[1] == 4 * -(-union[0].shape[0] // chunk)
+    for g in ((1.0, -1.0, 0.5, 0.25), (0.3, -0.7, 0.0, 1.5)):
+        g = np.array(g)
+        assert_same_arrays(cd._combine(union, g),
+                           one_column_per_block(A, 4, 9, g))
+
+
+def test_an_all_zero_matrix_encodes_to_empty_blocks():
+    P = mx.partition_uniform(mx.SparseMatrix(np.zeros((30, 12))), 4)
+    for scheme in ("proposed", "dense"):
+        plan = cd.build_plan(scheme, cd.make_roster([1] * 4, [1]), seed=43)
+        assert [blk.nnz() for blk in cd.encode(P, plan).coded] == [0] * 5
+
+
+@pytest.mark.parametrize("alpha", [1, 7])
+@pytest.mark.parametrize("support", [(0, 1, 2), (27, 0, 1), (26, 27, 0), (5,)])
+def test_selector_equals_scipy_kron(support, alpha):
+    g = np.zeros(28)
+    g[list(support)] = rng(44).uniform(-1.0, 1.0, len(support))
+    want = sp.kron(sp.csc_matrix(g[:, None]),
+                   sp.identity(alpha, format="csc"), format="csc")
+    got = cd._selector(g, alpha)
+    assert got.format == "csc"
+    assert_same_arrays(got, want)
+
+
 def test_baseline_dense_pattern_union_and_rank():
     S = mx.random_sparse(60, 12, 0.08, rng(14))
     P = mx.partition_uniform(S, 4)

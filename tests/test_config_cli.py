@@ -15,6 +15,7 @@ from codedfl import cli, coding as cd, decoding as dec, matrices as mx
 from codedfl.config import (BenchSpec, ConfigError, FlSpec, load_config,
                             parse_config)
 from codedfl.simulate import TimingModel
+from helpers import save_dense_csv
 
 
 def minimal_doc(**extra):
@@ -404,6 +405,49 @@ def test_simulate_outputs_and_determinism(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+@pytest.mark.parametrize("levels, own, encodes", [
+    ([0.5, 0.8, 0.95], 0.8, 3),       # the own level, listed second
+    ([0.5, 0.95], 0.8, 3),            # the own level, not listed
+    ([0.8, 0.5, 0.8, 0.5], 0.8, 2),   # repeated levels
+])
+def test_bench_encodes_each_level_once(tmp_path, monkeypatch, levels, own,
+                                       encodes):
+    # the rounds' encode serves the matrix's own level, and every other
+    # distinct level is encoded once, whatever its place in the list
+    calls = Counter()
+    inner = cd.iter_encoded_blocks
+
+    def counted(P, plan):
+        calls[plan.scheme] += 1
+        return inner(P, plan)
+
+    monkeypatch.setattr(cd, "iter_encoded_blocks", counted)
+    doc = example_doc(tmp_path / "out",
+                      matrix={"rows": 42, "cols": 21, "kind": "sparse",
+                              "zero_fraction": own},
+                      bench={"zero_fractions": levels, "timing_trials": 1,
+                             "warmup": 0})
+    path = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", path]) == 0
+    assert calls == {"proposed": encodes, "dense": encodes}
+
+    # rows in listed order, each holding its own level's blocks
+    cfg = load_config(path)
+    rows = read_csv(tmp_path / "out" / "benchmark.csv")[1:]
+    assert [(r[0], float(r[1])) for r in rows] == [
+        (s, z) for z in levels for s in cfg.schemes]
+    for r in rows:
+        P = mx.partition_uniform(cli._make_matrix(cfg, float(r[1])), 7)
+        plan = cd.build_plan(r[0], cfg.roster, cfg.seed)
+        nnz = [blk.nnz() for blk in cd.encode(P, plan).coded]
+        assert r[6:8] == [repr(float(np.mean(nnz))), str(max(nnz))]
+    # a repeated level is measured once: its rows repeat the first ones
+    times = read_csv(tmp_path / "out" / "benchmark_times.csv")[1:]
+    first = {}
+    for r in times:
+        assert first.setdefault((r[0], float(r[1])), r) == r
+
+
 def test_simulate_zero_trials_header_only(tmp_path):
     cfg = write_config(tmp_path, example_doc(tmp_path / "out", trials=0))
     assert cli.main(["simulate", "--config", cfg]) == 0
@@ -428,7 +472,7 @@ def test_simulate_matrix_from_file(tmp_path):
     rng = np.random.default_rng(0)
     A = mx.random_dense(12, 6, rng)
     mpath = tmp_path / "A.csv"
-    mx.save_dense_csv(A, mpath)
+    save_dense_csv(A, mpath)
     doc = example_doc(tmp_path / "out", schemes=["proposed"], trials=1,
                       roster={"active": [1, 1, 1]},
                       matrix={"source": "file", "path": str(mpath)})
@@ -656,7 +700,7 @@ def test_an_infinite_number_is_exit_2(tmp_path, capsys, command, section, key,
 def test_file_matrix_cols_not_divisible_is_exit_2(tmp_path, capsys):
     # a file's width is known only once it is read; the partition rejects it
     mpath = tmp_path / "A.csv"
-    mx.save_dense_csv(mx.random_dense(12, 6, np.random.default_rng(0)), mpath)
+    save_dense_csv(mx.random_dense(12, 6, np.random.default_rng(0)), mpath)
     doc = example_doc(tmp_path / "out", schemes=["proposed"],
                       matrix={"source": "file", "path": str(mpath)})
     assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 2

@@ -4,7 +4,9 @@ code of every command, as committed in golden.json.  The README config
 runs with its own schemes and once each with ``--scheme poly`` and
 ``--scheme uncoded``, ``verify --plan`` reads back each seed's stored
 dense plan, and ``simulate`` runs it without its matrix and bench
-sections, on the one-row matrix the roster's base_width gives.
+sections, on the one-row matrix the roster's base_width gives.  One more
+``simulate`` config has a dense plan whose overlay spans three chunks of
+cells (CHUNKED); every other union fits in one.
 
 Every command runs in-process through ``cli.main``.  A change that means
 to change outputs regenerates the file with
@@ -29,6 +31,16 @@ README_SEEDS = (1, 2, 7)
 README_EXTRA_SCHEMES = ("poly", "uncoded")
 # measured wall-clock medians, and a creation time
 NOT_DETERMINISTIC = {"benchmark_times.csv", "manifest.json"}
+# k_bar = 4 blocks of 300 x 600 at 50% zeros: the union of the four
+# patterns holds about 168,750 cells, three chunks of coding.OVERLAY_CHUNK
+CHUNKED = {"seed": 5, "schemes": ["proposed", "dense"],
+           "roster": {"active": [1, 1, 1, 1], "passive": [1],
+                      "base_width": 600},
+           "matrix": {"source": "synthetic", "rows": 300, "cols": 2400,
+                      "kind": "sparse", "zero_fraction": 0.5},
+           "scale": 1, "trials": 3, "timing": {"noise": 0.5},
+           "bench": {"zero_fractions": [0.5, 0.9], "timing_trials": 1,
+                     "warmup": 0}}
 
 
 def _bench_workloads():
@@ -76,6 +88,11 @@ def _cases(tmp: Path):
         out = tmp / case
         yield case, out, [["simulate", "--config", str(bare), "--seed",
                            str(seed), "--out", str(out), "--require-decode"]]
+    chunked = tmp / "chunked.json"
+    chunked.write_text(json.dumps(CHUNKED))
+    case = f"chunked/seed={CHUNKED['seed']}"
+    yield case, tmp / case, [["simulate", "--config", str(chunked), "--out",
+                              str(tmp / case), "--require-decode"]]
     # a stored plan of a scheme other than proposed, read back by verify
     for seed in README_SEEDS:
         case = f"readme/plan=dense/seed={seed}"

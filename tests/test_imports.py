@@ -2,9 +2,10 @@
 (pytest's own process holds scipy already).
 
 scipy is imported only where it is used: ``scipy.sparse`` and ``scipy.io``
-where a sparse matrix or a ``.mtx`` file is made, ``scipy.linalg`` in
-``decode``.  Planning and certifying load none of it, and a dense round
-loads no ``scipy.sparse``.  The manifest names the scipy a command loaded,
+where a sparse matrix is made or a ``.mtx`` file read, ``scipy.linalg`` in
+``decode``, and ``scipy.sparse`` with ``scipy.sparse.csgraph`` in the
+matching a rank failure calls for.  Planning, and certifying a plan of
+full rank, load none of it, and a dense round loads no ``scipy.sparse``.  The manifest names the scipy a command loaded,
 so it reads it from ``sys.modules`` and writes null where there is none.
 """
 

@@ -11,6 +11,7 @@ from scipy import stats
 
 from codedfl import coding as cd
 from codedfl import matrices as mx
+from helpers import save_dense_csv, save_sparse_mm
 
 
 def rng(seed=0):
@@ -60,6 +61,24 @@ def test_matvec_t_sparse_agrees_with_dense_route():
     x = rng(7).standard_normal(40)
     dense = mx.DenseMatrix(S.to_dense())
     np.testing.assert_allclose(S.matvec_t(x), dense.matvec_t(x), atol=1e-12)
+
+
+def test_sparse_matvec_t_reads_one_transpose_of_the_same_arrays():
+    # the transpose is built once per matrix, as a csr view of its frozen
+    # arrays, and the product is the csr kernel's on them: the same bits
+    # as transposing on every call
+    S = mx.random_sparse(40, 15, 0.2, rng(6))
+    x = rng(7).standard_normal(40)
+    for M in (S, mx.SparseMatrix(S.m), S.column_slice(3, 11)):
+        assert M._t.format == "csr" and M._t.shape == M.m.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(M._t, name), getattr(M.m, name))
+        assert np.array_equal(M.matvec_t(x), M.m.T @ x)
+    # an integer vector is coerced to float64, as before
+    assert np.array_equal(S.matvec_t(np.arange(40)),
+                          S.m.T @ np.arange(40, dtype=np.float64))
+    with pytest.raises(mx.ShapeError):
+        S.matvec_t(np.ones(39))
 
 
 def test_matvec_t_rejects_wrong_length():
@@ -273,7 +292,7 @@ def test_random_sparse_rejects_bad_density():
 def test_csv_roundtrip(tmp_path):
     A = mx.random_dense(5, 4, rng(21))
     p = tmp_path / "m.csv"
-    mx.save_dense_csv(A, p)
+    save_dense_csv(A, p)
     # first line is a header
     assert p.read_text().splitlines()[0] == "c0,c1,c2,c3"
     B = mx.load_matrix(p)
@@ -284,7 +303,7 @@ def test_csv_roundtrip(tmp_path):
 def test_matrix_market_roundtrip(tmp_path):
     S = mx.random_sparse(12, 7, 0.25, rng(22))
     p = tmp_path / "m.mtx"
-    mx.save_sparse_mm(S, p)
+    save_sparse_mm(S, p)
     T = mx.load_matrix(p)
     assert T.kind == "sparse"
     np.testing.assert_allclose(T.to_dense(), S.to_dense(), atol=1e-12)

@@ -9,6 +9,7 @@ from codedfl import coding as cd
 from codedfl import decoding as dec
 from codedfl import matrices as mx
 from codedfl import simulate as sim
+from helpers import lazy_blocks
 
 
 def rng(seed=0):
@@ -296,7 +297,7 @@ def test_benchmark_nnz_and_ordering_small():
     prop = cd.build_heterogeneous_plan(roster, seed=3)
     dense = cd.build_dense_plan(roster, seed=3)
     x = g.standard_normal(400)
-    rows = sim.sparse_compute_benchmark(P, [prop, dense], x,
+    rows = sim.sparse_compute_benchmark(lazy_blocks(P, [prop, dense]), x,
                                         zero_fraction=0.95, trials=3, warmup=1)
     by = {r.scheme: r for r in rows}
     assert by["proposed"].n_workers == 14
@@ -316,8 +317,9 @@ def test_benchmark_dense_pattern_is_union():
     union = np.zeros((200, 10), dtype=bool)
     for q in range(P.k):
         union |= P.block(q).to_dense() != 0
-    rows = sim.sparse_compute_benchmark(P, [dense], g.standard_normal(200),
-                                        trials=1, warmup=0)
+    rows = sim.sparse_compute_benchmark(lazy_blocks(P, [dense]),
+                                        g.standard_normal(200), trials=1,
+                                        warmup=0)
     assert rows[0].max_nnz == int(union.sum())
     assert rows[0].mean_nnz == pytest.approx(union.sum())
 
@@ -327,17 +329,16 @@ def test_benchmark_fully_dense_blocks_equal_nnz():
     P = mx.partition_uniform(mx.SparseMatrix(g.standard_normal((50, 20))), 4)
     roster = cd.make_roster([1] * 4, [1])
     rows = sim.sparse_compute_benchmark(
-        P, [cd.build_heterogeneous_plan(roster, seed=5),
-            cd.build_dense_plan(roster, seed=5)],
+        lazy_blocks(P, [cd.build_heterogeneous_plan(roster, seed=5),
+                        cd.build_dense_plan(roster, seed=5)]),
         g.standard_normal(50), trials=1, warmup=0)
     assert rows[0].mean_nnz == rows[1].mean_nnz == 50 * 5
 
 
 def test_benchmark_rejects_zero_trials():
     g = rng(18)
-    P = mx.partition_uniform(mx.random_sparse(30, 6, 0.2, g), 3)
     with pytest.raises(sim.SimConfigError):
-        sim.sparse_compute_benchmark(P, [], g.standard_normal(30), trials=0)
+        sim.sparse_compute_benchmark([], g.standard_normal(30), trials=0)
 
 
 # ---------------------------------------------------------------------------
