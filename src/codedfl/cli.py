@@ -4,7 +4,9 @@ decodes real products of an encoded matrix (see _make_matrix).
 Exit codes: 0 success, 1 diverging descent, 2 configuration error (a bad
 config, stored plan or out; nothing is written), 3 verification failure, 4
 decode failure where success was required.  All CSV output is written
-with repr-formatted numbers and no timestamps, so a rerun with the same
+with repr-formatted numbers and no timestamps (trajectory.csv straight
+from the Python floats of ``tolist()``, the same bytes that formatting
+each numpy scalar gives), so a rerun with the same
 config, seed, numpy, scipy and BLAS thread count reproduces the files
 byte for byte, except benchmark_times.csv (measured wall-clock medians)
 and manifest.json (its creation time, those versions and thread variables).
@@ -62,6 +64,17 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def _write_trajectory(path: Path, header, losses, betas) -> None:
+    # one line per step: the step, its loss, its betas.  repr of a Python
+    # float is what _fmt writes for a float cell, and a number needs no
+    # quoting, so these are _write_csv's bytes at half its cost
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{t},{loss!r},{','.join(map(repr, beta))}\n"
+                      for t, (loss, beta) in enumerate(zip(losses.tolist(),
+                                                           betas.tolist())))
 
 
 def _write_manifest(out_dir: Path, cfg_hash: str | None, seed: int,
@@ -359,10 +372,8 @@ def cmd_fl_demo(cfg: ExperimentConfig, check: bool) -> int:
                      1)
 
     header = ["step", "loss"] + [f"beta_{j}" for j in range(fl.cols)]
-    rows = [[t, res.losses[t]] + list(res.betas[t])
-            for t in range(len(res.losses))]
     out = _out_dir(cfg.out)
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_trajectory(out / "trajectory.csv", header, res.losses, res.betas)
     _write_manifest(out, cfg.config_hash(), cfg.seed, [out / "trajectory.csv"])
     print(f"steps={fl.steps} final_loss={_fmt(res.losses[-1])} "
           f"stepsize={_fmt(res.stepsize)} retries={res.rounds_retried}")

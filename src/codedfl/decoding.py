@@ -421,13 +421,6 @@ class PatternReport:
     entries: tuple[PatternEntry, ...]
     maximal_tolerable: tuple[tuple[int, ...], ...]
 
-    def entry(self, types) -> PatternEntry:
-        key = tuple(sorted(types))
-        for e in self.entries:
-            if e.types == key:
-                return e
-        raise KeyError(f"no straggler pattern {key}")
-
     def describe(self) -> list[str]:
         out = []
         for e in self.entries:

@@ -7,7 +7,7 @@ and drops zeros; arithmetic results keep their kernel's index order, sorted
 from the overlay that encodes full-support coded blocks but unspecified in
 general).
 Both expose the same small surface: ``matvec_t`` (the transpose product
-M^T x), ``nnz``, ``column_slice`` and ``to_dense``.
+M^T x), ``nnz`` and ``to_dense``.
 ``PartitionedMatrix`` views a matrix as k equal block-columns, the unit of
 work distributed to clients; it holds the matrix itself, not block copies.
 
@@ -89,9 +89,6 @@ class DenseMatrix:
             raise ShapeError(f"x has length {x.shape[0]}, expected {self.rows}")
         return self.a.T @ x
 
-    def column_slice(self, j0: int, j1: int) -> "DenseMatrix":
-        return DenseMatrix(self.a[:, j0:j1])
-
     def to_dense(self) -> np.ndarray:
         return self.a
 
@@ -155,9 +152,6 @@ class SparseMatrix:
         # csc transpose is a csr view, so this is a row-major SpMV
         return np.asarray(self._t @ x).ravel()
 
-    def column_slice(self, j0: int, j1: int) -> "SparseMatrix":
-        return SparseMatrix._wrap(self.m[:, j0:j1])
-
     def to_dense(self) -> np.ndarray:
         return self.m.toarray()
 
@@ -200,9 +194,6 @@ class PartitionedMatrix:
     @property
     def kind(self) -> str:
         return self.matrix.kind
-
-    def block(self, q: int) -> Matrix:
-        return self.matrix.column_slice(q * self.alpha, (q + 1) * self.alpha)
 
 
 def partition_uniform(A, k: int) -> PartitionedMatrix:

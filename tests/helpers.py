@@ -1,4 +1,5 @@
-"""Helpers the tests share: matrix fixture files and lazily encoded blocks."""
+"""Helpers the tests share: matrix fixture files, block-column views,
+lazily encoded blocks and straggler-pattern lookup."""
 
 import numpy as np
 
@@ -26,3 +27,24 @@ def lazy_blocks(P, plans):
     """(plan, its coded blocks) per plan, each block encoded as it is read."""
     return [(plan, (blk for _, blk in cd.iter_encoded_blocks(P, plan)))
             for plan in plans]
+
+
+def column_slice(M, j0, j1):
+    """Columns j0 .. j1-1 of M, in M's own storage."""
+    if M.kind == "sparse":
+        return mx.SparseMatrix._wrap(M.m[:, j0:j1])
+    return mx.DenseMatrix(M.a[:, j0:j1])
+
+
+def block(P, q):
+    """Block-column q of the partitioned matrix P."""
+    return column_slice(P.matrix, q * P.alpha, (q + 1) * P.alpha)
+
+
+def pattern_entry(report, types):
+    """The entry of a ``PatternReport`` for straggler ``types``, in any order."""
+    key = tuple(sorted(types))
+    for e in report.entries:
+        if e.types == key:
+            return e
+    raise KeyError(f"no straggler pattern {key}")

@@ -12,6 +12,7 @@ from scipy import sparse as sp
 
 from codedfl import coding as cd
 from codedfl import matrices as mx
+from helpers import block
 
 
 def rng(seed=0):
@@ -329,7 +330,7 @@ def test_poly_single_block_rows_all_one():
     wl = cd.encode(P, plan)
     np.testing.assert_array_equal(wl.G, [[1.0], [1.0], [1.0]])
     for blk in wl.coded:
-        np.testing.assert_array_equal(blk.to_dense(), P.block(0).to_dense())
+        np.testing.assert_array_equal(blk.to_dense(), block(P, 0).to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def test_encode_matches_manual_combination_dense():
         # the same products summed in the same (support) order: bit-identical
         want = np.zeros((12, 2))
         for c, q in zip(s.coeffs, s.support):
-            want += c * P.block(q).to_dense()
+            want += c * block(P, q).to_dense()
         np.testing.assert_array_equal(wl.coded[w].to_dense(), want)
 
 
@@ -362,9 +363,9 @@ def test_encode_sparse_route_matches_dense_route():
         # the coded pattern lies within the union of the support's patterns
         union = np.zeros((50, 2), dtype=bool)
         for q in s.support:
-            union |= P.block(q).to_dense() != 0
+            union |= block(P, q).to_dense() != 0
         assert np.all((a.to_dense() != 0) <= union)
-        assert a.nnz() <= sum(P.block(q).nnz() for q in s.support)
+        assert a.nnz() <= sum(block(P, q).nnz() for q in s.support)
         np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-12)
         # toarray sums duplicate coordinates, so count the stored entries too
         assert a.nnz() == np.count_nonzero(b.to_dense())
@@ -380,7 +381,7 @@ def test_encode_products_match_combined_products():
     plan = cd.build_homogeneous_plan(6, 3, seed=6)
     wl = cd.encode(P, plan)
     x = rng(7).standard_normal(15)
-    per_block = np.stack([P.block(q).matvec_t(x) for q in range(P.k)])
+    per_block = np.stack([block(P, q).matvec_t(x) for q in range(P.k)])
     for i in range(wl.n_bar):
         want = wl.G[i] @ per_block
         got = wl.coded[i].matvec_t(x)
@@ -391,7 +392,7 @@ def test_encode_identity_plan_returns_blocks():
     P = mx.partition_uniform(mx.random_dense(6, 8, rng(8)), 4)
     wl = cd.encode(P, cd.build_uncoded_plan(cd.make_roster([1] * 4)))
     for i in range(4):
-        np.testing.assert_array_equal(wl.coded[i].to_dense(), P.block(i).to_dense())
+        np.testing.assert_array_equal(wl.coded[i].to_dense(), block(P, i).to_dense())
 
 
 def test_encode_handcrafted_systematic_plan():
@@ -403,11 +404,11 @@ def test_encode_handcrafted_systematic_plan():
              cd.CodedBlockSpec((0, 1), (1.0, 1.0), "unit"))
     plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs, ())
     wl = cd.encode(P, plan)
-    np.testing.assert_array_equal(wl.coded[0].to_dense(), P.block(0).to_dense())
-    np.testing.assert_array_equal(wl.coded[1].to_dense(), P.block(1).to_dense())
+    np.testing.assert_array_equal(wl.coded[0].to_dense(), block(P, 0).to_dense())
+    np.testing.assert_array_equal(wl.coded[1].to_dense(), block(P, 1).to_dense())
     np.testing.assert_allclose(
         wl.coded[2].to_dense(),
-        P.block(0).to_dense() + P.block(1).to_dense(), atol=1e-12)
+        block(P, 0).to_dense() + block(P, 1).to_dense(), atol=1e-12)
 
 
 def test_encode_rejects_block_count_mismatch():
@@ -628,7 +629,7 @@ def test_baseline_dense_pattern_union_and_rank():
     wl = cd.encode(P, cd.build_dense_plan(cd.make_roster([1] * 4), seed=15))
     union = np.zeros((60, 3), dtype=bool)
     for q in range(P.k):
-        union |= P.block(q).to_dense() != 0
+        union |= block(P, q).to_dense() != 0
     for blk in wl.coded:
         got = blk.to_dense() != 0
         assert np.all(got <= union)
@@ -642,7 +643,7 @@ def test_baseline_dense_single_block_is_scalar_copy():
     wl = cd.encode(P, cd.build_dense_plan(one_block_roster(2), seed=17))
     for i in range(2):
         np.testing.assert_allclose(wl.coded[i].to_dense(),
-                                   wl.G[i, 0] * P.block(0).to_dense(), atol=1e-12)
+                                   wl.G[i, 0] * block(P, 0).to_dense(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -590,6 +590,32 @@ def test_fl_demo_writes_trajectory(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+# floats whose repr is least like an ordinary cell's
+EDGE_FLOATS = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22,
+                        0.1, -1e-300, 2 ** 53 + 1], dtype=np.float64)
+_WIDE = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("losses, betas", [
+    # every edge value in every column
+    (EDGE_FLOATS, np.vstack([np.roll(EDGE_FLOATS, i)
+                             for i in range(len(EDGE_FLOATS))])),
+    (EDGE_FLOATS[:1], EDGE_FLOATS[None, 1:]),      # a 0-step run: one row
+    (EDGE_FLOATS, EDGE_FLOATS[:, None]),           # one column
+    (_WIDE.standard_normal(31), _WIDE.standard_normal((31, 14))
+     * 10.0 ** _WIDE.uniform(-300, 300, (31, 14))),
+], ids=["edge-values", "zero-steps", "one-column", "wide-exponents"])
+def test_trajectory_bytes_match_cell_by_cell_csv(tmp_path, losses, betas):
+    header = ["step", "loss"] + [f"beta_{j}" for j in range(betas.shape[1])]
+    cli._write_trajectory(tmp_path / "lines.csv", header, losses, betas)
+    # the reference route: rows of numpy float64 scalars, each cell through
+    # _fmt and csv.writer
+    rows = [[t, losses[t]] + list(betas[t]) for t in range(len(losses))]
+    cli._write_csv(tmp_path / "cells.csv", header, rows)
+    assert ((tmp_path / "lines.csv").read_bytes()
+            == (tmp_path / "cells.csv").read_bytes())
+
+
 @pytest.mark.parametrize("doc, msg", [
     # the README roster (k_bar 7) with 20 columns
     ({"roster": {"active": [2, 2, 1, 1, 1], "passive": [1, 1]},

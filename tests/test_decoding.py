@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from codedfl import coding as cd
 from codedfl import decoding as dec
 from codedfl import matrices as mx
+from helpers import pattern_entry
 from test_acceptance import measured_neighborhood, neighborhood_lower_bound
 
 
@@ -544,13 +545,13 @@ def example2_patterns():
 
 def test_example2_pattern_report():
     report = example2_patterns()
-    assert report.entry(()).all_tolerable            # no stragglers
-    assert report.entry((0,)).all_tolerable
-    assert report.entry((1,)).all_tolerable          # one strong client
-    assert report.entry((0, 0)).all_tolerable        # any two weak clients
-    assert not report.entry((0, 1)).all_tolerable
-    assert report.entry((0, 1)).n_tolerable == 0
-    assert not report.entry((1, 1)).all_tolerable
+    assert pattern_entry(report, ()).all_tolerable         # no stragglers
+    assert pattern_entry(report, (0,)).all_tolerable
+    assert pattern_entry(report, (1,)).all_tolerable       # one strong client
+    assert pattern_entry(report, (0, 0)).all_tolerable     # any two weak
+    assert not pattern_entry(report, (0, 1)).all_tolerable
+    assert pattern_entry(report, (0, 1)).n_tolerable == 0
+    assert not pattern_entry(report, (1, 1)).all_tolerable
     # every pattern removing more than s_bar virtual workers fails entirely
     for e in report.entries:
         if e.removed_virtual > 2:
@@ -560,10 +561,10 @@ def test_example2_pattern_report():
 
 def test_example2_pattern_counts():
     report = example2_patterns()
-    assert report.entry((0, 0)).n_sets == 10     # five weak clients, pairs
-    assert report.entry((1,)).n_sets == 2
-    assert report.entry((0, 0)).removed_virtual == 2
-    assert report.entry((1,)).removed_virtual == 2
+    assert pattern_entry(report, (0, 0)).n_sets == 10  # five weak, pairs
+    assert pattern_entry(report, (1,)).n_sets == 2
+    assert pattern_entry(report, (0, 0)).removed_virtual == 2
+    assert pattern_entry(report, (1,)).removed_virtual == 2
 
 
 def test_example2_pattern_description_lines():
@@ -580,7 +581,7 @@ def test_removed_virtual_is_the_first_sets_count():
     # first set in enumeration order, active client 2, which removes one
     plan = cd.build_uncoded_plan(cd.make_roster([2, 2, 1, 1, 1], [1, 1]))
     patterns = dec.certify(plan).patterns
-    e = patterns.entry((0,))
+    e = pattern_entry(patterns, (0,))
     assert (e.n_sets, e.n_tolerable, e.removed_virtual) == (5, 2, 1)
     assert ("1x type-0: not tolerable (2/5 sets) (removes 1 virtual workers)"
             in patterns.describe())
@@ -590,8 +591,8 @@ def test_homogeneous_two_client_patterns():
     roster = cd.make_roster([1] * 10, [1] * 2)
     plan = cd.build_heterogeneous_plan(roster, seed=0)
     report = dec.resilience_patterns(plan, max_stragglers=2)
-    assert report.entry((0, 0)).n_sets == 66
-    assert report.entry((0, 0)).all_tolerable
+    assert pattern_entry(report, (0, 0)).n_sets == 66
+    assert pattern_entry(report, (0, 0)).all_tolerable
     # all 2^21 straggler sets of 21 clients exceed the enumeration guard
     big = cd.make_roster([1] * 19, [1] * 2)
     with pytest.raises(dec.SubsetGuardError):
@@ -625,7 +626,7 @@ def test_patterns_match_per_set_rank(setup):
         assert e.n_tolerable == tolerable
     if setup is tampered_plan:
         # dropping worker 1 or 2 leaves the duplicate pair 0, 3
-        assert not report.entry((0,)).all_tolerable
+        assert not pattern_entry(report, (0,)).all_tolerable
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,28 @@ code of every command, as committed in golden.json.  The README config
 runs with its own schemes and once each with ``--scheme poly`` and
 ``--scheme uncoded``, ``verify --plan`` reads back each seed's stored
 dense plan, and ``simulate`` runs it without its matrix and bench
-sections, on the one-row matrix the roster's base_width gives.  One more
-``simulate`` config has a dense plan whose overlay spans three chunks of
-cells (CHUNKED); every other union fits in one.
+sections, on the one-row matrix the roster's base_width gives, and
+``simulate`` and ``fl-demo`` run it with clients failing (FAILURES), so a
+digest pins the order of a round's draws.  One more ``simulate`` config
+has a dense plan whose overlay spans three chunks of cells (CHUNKED);
+every other union fits in one.
 
-Every command runs in-process through ``cli.main``.  A change that means
-to change outputs regenerates the file with
-``PYTHONPATH=src python tests/test_golden.py`` and names each file that
-moved.
+Those commands run in-process through ``cli.main``.  One case runs the
+``certify-rounds`` workload's four commands at full size and seed
+FULL_SIZE_SEED in a fresh interpreter with the BLAS thread variables at
+1 (about 1.5 s): the toy sizes cannot show a float that moves at full
+size, and at that seed the rounds and the demo fail, so a moved float
+can move a failure.  A change that means to change outputs regenerates
+the file with ``PYTHONPATH=src python tests/test_golden.py`` and names
+each file that moved.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +49,19 @@ CHUNKED = {"seed": 5, "schemes": ["proposed", "dense"],
            "scale": 1, "trials": 3, "timing": {"noise": 0.5},
            "bench": {"zero_fractions": [0.5, 0.9], "timing_trials": 1,
                      "warmup": 0}}
+# the README config without its bench section, a passive client always
+# failed and each client failing with probability 0.1: 2 of its 10 rounds
+# do not decode (simulate exits 4), fl-demo retries 29 rounds
+FAILURES_SEED = 1
+FAILURES_TIMING = {"noise": 0.5, "failed_clients": [6], "failure_prob": 0.1}
+FULL_SIZE_SEED = 13
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+# runs the argv lists in sys.argv[1] through cli.main; its last line of
+# stdout is their exit codes
+FRESH_RUN = ("import json, sys\nfrom codedfl import cli\n"
+             "print(json.dumps([cli.main(a)\n"
+             "                  for a in json.loads(sys.argv[1])]))")
 
 
 def _bench_workloads():
@@ -80,14 +101,24 @@ def _cases(tmp: Path):
                               ["simulate", *common, "--require-decode"],
                               ["fl-demo", *common, "--check"]]
     # no matrix section: rounds decode the products of a one-row matrix
+    readme_doc = json.loads(cfg.read_text())
     bare = tmp / "readme-no-matrix.json"
-    bare.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text())
-                                .items() if k not in ("matrix", "bench")}))
+    bare.write_text(json.dumps({k: v for k, v in readme_doc.items()
+                                if k not in ("matrix", "bench")}))
     for seed in README_SEEDS:
         case = f"readme/matrix=none/seed={seed}"
         out = tmp / case
         yield case, out, [["simulate", "--config", str(bare), "--seed",
                            str(seed), "--out", str(out), "--require-decode"]]
+    failing = tmp / "readme-failures.json"
+    failing.write_text(json.dumps({
+        **{k: v for k, v in readme_doc.items() if k != "bench"},
+        "timing": FAILURES_TIMING}))
+    case = f"readme/failures/seed={FAILURES_SEED}"
+    common = ["--config", str(failing), "--seed", str(FAILURES_SEED),
+              "--out", str(tmp / case)]
+    yield case, tmp / case, [["simulate", *common, "--require-decode"],
+                             ["fl-demo", *common, "--check"]]
     chunked = tmp / "chunked.json"
     chunked.write_text(json.dumps(CHUNKED))
     case = f"chunked/seed={CHUNKED['seed']}"
@@ -101,15 +132,44 @@ def _cases(tmp: Path):
                                   "--out", str(tmp / case)]]
 
 
+def _full_size_case(tmp: Path):
+    """(case name, out dir, argv lists) of a full-size certify-rounds pass."""
+    wl = _bench_workloads()["certify-rounds"]
+    case = f"certify-rounds/full/seed={FULL_SIZE_SEED}"
+    out = tmp / case
+    paths = {}
+    for role, doc in wl.configs(FULL_SIZE_SEED, False).items():
+        paths[role] = tmp / f"full-{role}.json"
+        paths[role].write_text(json.dumps(doc))
+    return case, out, [cmd if "--out" in cmd else cmd + ["--out", str(out)]
+                       for cmd in wl.commands(paths, out)]
+
+
+def _run_fresh(commands) -> list:
+    """Exit codes of the commands, run in one new interpreter whose BLAS
+    thread variables are 1 before numpy loads."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path,
+           **{v: "1" for v in BLAS_THREAD_VARS}}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, json.dumps(commands)], env=env,
+        capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _record(codes, out: Path) -> dict:
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir()) if p.name not in NOT_DETERMINISTIC}
+    return {"exit_codes": codes, "files": files}
+
+
 def digests(tmp: Path) -> dict:
     """{case: {"exit_codes": [...], "files": {name: sha256}}}."""
-    result = {}
-    for case, out, commands in _cases(tmp):
-        codes = [cli.main(cmd) for cmd in commands]
-        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                 for p in sorted(out.iterdir())
-                 if p.name not in NOT_DETERMINISTIC}
-        result[case] = {"exit_codes": codes, "files": files}
+    result = {case: _record([cli.main(cmd) for cmd in commands], out)
+              for case, out, commands in _cases(tmp)}
+    case, out, commands = _full_size_case(tmp)
+    result[case] = _record(_run_fresh(commands), out)
     return result
 
 

@@ -11,7 +11,7 @@ from scipy import stats
 
 from codedfl import coding as cd
 from codedfl import matrices as mx
-from helpers import save_dense_csv, save_sparse_mm
+from helpers import block, column_slice, save_dense_csv, save_sparse_mm
 
 
 def rng(seed=0):
@@ -30,14 +30,14 @@ def test_partition_uniform_shapes_and_roundtrip():
         assert P.matrix is A
         # the blocks side by side reconstruct A exactly
         np.testing.assert_array_equal(
-            np.hstack([P.block(q).to_dense() for q in range(P.k)]),
+            np.hstack([block(P, q).to_dense() for q in range(P.k)]),
             A.to_dense())
 
 
 def test_partition_blocks_are_consecutive_columns():
     A = mx.DenseMatrix(np.arange(24, dtype=float).reshape(4, 6))
     P = mx.partition_uniform(A, 3)
-    np.testing.assert_array_equal(P.block(1).to_dense(), A.to_dense()[:, 2:4])
+    np.testing.assert_array_equal(block(P, 1).to_dense(), A.to_dense()[:, 2:4])
 
 
 def test_partition_rejects_bad_widths():
@@ -69,7 +69,7 @@ def test_sparse_matvec_t_reads_one_transpose_of_the_same_arrays():
     # as transposing on every call
     S = mx.random_sparse(40, 15, 0.2, rng(6))
     x = rng(7).standard_normal(40)
-    for M in (S, mx.SparseMatrix(S.m), S.column_slice(3, 11)):
+    for M in (S, mx.SparseMatrix(S.m), column_slice(S, 3, 11)):
         assert M._t.format == "csr" and M._t.shape == M.m.shape[::-1]
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(M._t, name), getattr(M.m, name))
@@ -92,7 +92,7 @@ def test_blockwise_matvec_t_concatenates():
     A = mx.random_dense(8, 12, rng(9))
     x = rng(10).standard_normal(8)
     P = mx.partition_uniform(A, 4)
-    stacked = np.concatenate([P.block(q).matvec_t(x) for q in range(P.k)])
+    stacked = np.concatenate([block(P, q).matvec_t(x) for q in range(P.k)])
     np.testing.assert_allclose(stacked, A.matvec_t(x), rtol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_combination_commutes_with_matvec_t(seed, k, alpha):
     P = mx.partition_uniform(mx.random_dense(7, k * alpha, g), k)
     wl = cd.encode(P, cd.build_dense_plan(cd.make_roster([1] * k), seed=seed))
     x = g.standard_normal(7)
-    per_block = [P.block(q).matvec_t(x) for q in range(k)]
+    per_block = [block(P, q).matvec_t(x) for q in range(k)]
     for coeffs, blk in zip(wl.G, wl.coded):
         right = sum(c * p for c, p in zip(coeffs, per_block))
         np.testing.assert_allclose(blk.matvec_t(x), right, atol=1e-10)
@@ -176,12 +176,12 @@ def test_sparse_is_immutable():
     coded = dense[0]
     narrow = cd.encode(P, cd.build_plan("proposed", roster, seed=24)).coded[0]
     twins = mx.partition_uniform(mx.SparseMatrix(sp.hstack(
-        [P.block(0).m, P.block(0).m, P.block(1).m])), 3)
+        [block(P, 0).m, block(P, 0).m, block(P, 1).m])), 3)
     spec = cd.CodedBlockSpec((0, 1, 2), (1.0, -1.0, 0.5), "cancel")
     others = cd.build_uncoded_plan(roster).specs[1:]
     cancelled = cd.encode(twins, cd.CodingPlan("dense", roster, (spec, *others),
                                                ()))
-    cases = [S, P.block(1), *dense, narrow, cancelled.coded[0]]
+    cases = [S, block(P, 1), *dense, narrow, cancelled.coded[0]]
     for M in cases:
         for part in (M.m.data, M.m.indices, M.m.indptr):
             with pytest.raises(ValueError):

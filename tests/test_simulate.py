@@ -9,7 +9,7 @@ from codedfl import coding as cd
 from codedfl import decoding as dec
 from codedfl import matrices as mx
 from codedfl import simulate as sim
-from helpers import lazy_blocks
+from helpers import block, lazy_blocks
 
 
 def rng(seed=0):
@@ -303,7 +303,7 @@ def test_benchmark_nnz_and_ordering_small():
     assert by["proposed"].n_workers == 14
     assert by["dense"].mean_nnz > by["proposed"].mean_nnz
     # each proposed block's nnz is bounded by its three support blocks
-    support_nnz = sorted(P.block(q).nnz() for q in range(P.k))
+    support_nnz = sorted(block(P, q).nnz() for q in range(P.k))
     assert by["proposed"].max_nnz <= 3 * support_nnz[-1]
     assert by["proposed"].mean_time > 0
     assert by["dense"].zero_fraction == 0.95
@@ -316,7 +316,7 @@ def test_benchmark_dense_pattern_is_union():
     dense = cd.build_dense_plan(roster, seed=4)
     union = np.zeros((200, 10), dtype=bool)
     for q in range(P.k):
-        union |= P.block(q).to_dense() != 0
+        union |= block(P, q).to_dense() != 0
     rows = sim.sparse_compute_benchmark(lazy_blocks(P, [dense]),
                                         g.standard_normal(200), trials=1,
                                         warmup=0)
