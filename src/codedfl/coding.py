@@ -12,11 +12,12 @@ links; each passive client receives one ready-made coded block instead of
 any raw data.
 
 Every builder, baselines (dense random, polynomial, uncoded) included,
-returns a CodingPlan that carries its roster, so downstream analysis is
+returns a CodingPlan (scheme, roster, specs), so downstream analysis is
 scheme-blind and takes the plan alone.  A plan's workers are the first
 n_bar of its roster's virtual workers: spec w holds worker w's support,
-coefficients and tag, and roster.owner[w] runs it.  The plan derives k_bar
-and s_bar and checks its own structure when it is made, however built.
+coefficients and tag, and roster.owner[w] runs it.  The plan derives k_bar,
+s_bar and its D2D transfers, and checks its own structure when it is made,
+however built.
 """
 
 from __future__ import annotations
@@ -158,16 +159,15 @@ class Transfer:
 
 @dataclass(frozen=True)
 class CodingPlan:
-    """A scheme's coded blocks and transfers over its roster.
+    """A scheme's coded blocks over its roster.
 
-    specs[w] is worker w's spec, and roster.owner[w] runs it; k_bar and
-    s_bar are derived, not stored.  Every structural rule is checked here,
-    for built and stored plans alike.
+    specs[w] is worker w's spec, and roster.owner[w] runs it; k_bar, s_bar
+    and the transfers are derived, not stored.  Every structural rule is
+    checked here, for built and stored plans alike.
     """
     scheme: str                # one of SCHEMES
     roster: ClientRoster
     specs: tuple[CodedBlockSpec, ...]   # indexed by worker
-    transfers: tuple[Transfer, ...]
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -190,15 +190,6 @@ class CodingPlan:
                 raise PlanError(f"worker {w}: support repeats a block")
             if not all(map(math.isfinite, s.coeffs)):
                 raise PlanError(f"worker {w}: coefficients {s.coeffs} not finite")
-        n_clients = self.roster.n_clients
-        for t in self.transfers:
-            if t.kind not in ("raw", "coded"):
-                raise PlanError(f"unknown transfer kind {t.kind!r}")
-            if not 0 <= t.payload < (k_bar if t.kind == "raw" else n_bar):
-                raise PlanError(f"transfer payload {t.payload} out of range")
-            if not (0 <= t.src < n_clients and 0 <= t.dst < n_clients):
-                raise PlanError(
-                    f"transfer endpoints ({t.src}, {t.dst}) out of range")
 
     @property
     def k_bar(self) -> int:
@@ -219,6 +210,29 @@ class CodingPlan:
         for w, s in enumerate(self.specs):
             G[w, list(s.support)] = s.coeffs
         return _freeze(G)
+
+    @cached_property
+    def transfers(self) -> tuple[Transfer, ...]:
+        """The D2D transfers that deliver every worker's blocks.
+
+        dense and poly ship every block raw to every other client, block by
+        block.  Otherwise worker w is coded by the client that runs it, and
+        passive worker k_bar+i by the one that runs worker i; that client
+        fetches each support block it does not generate, raw, from the
+        block's generator, each (src, dst, block) once in worker and
+        support order.  Then each passive worker gets its coded block.
+        """
+        owner, k_bar = self.roster.owner, self.k_bar
+        if self.scheme in ("dense", "poly"):
+            return tuple(Transfer(owner[q], c.id, "raw", q) for q in range(k_bar)
+                         for c in self.roster.clients if c.id != owner[q])
+        coder = owner[:k_bar] + owner[:self.s_bar]
+        raw = dict.fromkeys((owner[q], coder[w], q)
+                            for w, s in enumerate(self.specs)
+                            for q in s.support if owner[q] != coder[w])
+        return (*(Transfer(src, dst, "raw", q) for src, dst, q in raw),
+                *(Transfer(coder[w], owner[w], "coded", w)
+                  for w in range(k_bar, self.n_bar)))
 
     @cached_property
     def _owned(self) -> dict[int, tuple[int, ...]]:
@@ -250,34 +264,17 @@ def build_heterogeneous_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     """Cyclic plan over the roster's virtual workers.
 
     Active virtual worker i combines blocks S_i = {i..i+s_bar} mod k_bar;
-    passive worker k_bar+i reuses S_i with fresh coefficients.  Raw
-    transfers ship each needed block from its generator unless source and
-    destination are the same physical client; one coded transfer feeds
-    each passive virtual worker.
+    passive worker k_bar+i reuses S_i with fresh coefficients, so the
+    client running worker i holds all of S_i and codes it on that
+    worker's behalf (``CodingPlan.transfers``).
     """
-    k_bar, owner = roster.k_bar, roster.owner
-    s_bar = len(owner) - k_bar
-    weight = s_bar + 1
+    k_bar, n_bar = roster.k_bar, len(roster.owner)
+    weight = n_bar - k_bar + 1
     # the support of passive worker k_bar+i starts at (k_bar+i) mod k_bar = i
     specs = tuple(CodedBlockSpec(_cyclic_support(w, weight, k_bar),
                                  *_spec_coeffs(seed, w, weight))
-                  for w in range(len(owner)))
-
-    transfers = []
-    seen = set()
-    for i in range(k_bar):
-        # worker i holds block i already; fetch the rest of its support
-        for q in specs[i].support[1:]:
-            src, dst = owner[q], owner[i]
-            if src == dst or (src, dst, q) in seen:
-                continue
-            seen.add((src, dst, q))
-            transfers.append(Transfer(src, dst, "raw", q))
-    for i in range(s_bar):
-        # the client running paired active worker i holds all of S_i and
-        # computes the passive combination on its behalf
-        transfers.append(Transfer(owner[i], owner[k_bar + i], "coded", k_bar + i))
-    return CodingPlan("proposed", roster, specs, tuple(transfers))
+                  for w in range(n_bar))
+    return CodingPlan("proposed", roster, specs)
 
 
 def build_homogeneous_plan(k_a: int, s: int, seed: int = 0) -> CodingPlan:
@@ -288,20 +285,13 @@ def build_homogeneous_plan(k_a: int, s: int, seed: int = 0) -> CodingPlan:
     return build_heterogeneous_plan(roster, seed)
 
 
-def _full_support_transfers(roster: ClientRoster):
-    # every generated block goes raw to every other physical client
-    owner = roster.owner
-    return tuple(Transfer(owner[q], c.id, "raw", q) for q in range(roster.k_bar)
-                 for c in roster.clients if c.id != owner[q])
-
-
 def build_dense_plan(roster: ClientRoster, seed: int = 0) -> CodingPlan:
     """Dense-random baseline: every worker combines all k_bar blocks."""
     k_bar = roster.k_bar
     specs = tuple(CodedBlockSpec(tuple(range(k_bar)),
                                  *_spec_coeffs(seed, w, k_bar))
                   for w in range(len(roster.owner)))
-    return CodingPlan("dense", roster, specs, _full_support_transfers(roster))
+    return CodingPlan("dense", roster, specs)
 
 
 def build_poly_plan(roster: ClientRoster) -> CodingPlan:
@@ -323,14 +313,14 @@ def build_poly_plan(roster: ClientRoster) -> CodingPlan:
         CodedBlockSpec(support, tuple(float(v) for v in rows[w]),
                        f"node={float(nodes[w])!r}")
         for w in range(n_bar))
-    return CodingPlan("poly", roster, specs, _full_support_transfers(roster))
+    return CodingPlan("poly", roster, specs)
 
 
 def build_uncoded_plan(roster: ClientRoster) -> CodingPlan:
     """No-redundancy control: active worker i computes its own block, coeff 1."""
     specs = tuple(CodedBlockSpec((i,), (1.0,), "unit")
                   for i in range(roster.k_bar))
-    return CodingPlan("uncoded", roster, specs, ())
+    return CodingPlan("uncoded", roster, specs)
 
 
 SCHEMES = ("proposed", "dense", "poly", "uncoded")
@@ -585,10 +575,11 @@ def plan_from_dict(d: dict) -> CodingPlan:
     """Parse a stored plan; the plan itself checks its structure.
 
     Stored workers may come in any order; the plan's specs are sorted by
-    worker.  The stored k_bar and s_bar must equal the derived ones, and
-    the stored workers and owners the roster's layout.  The checks are
-    structural only; rank properties are the verifier's job, so a
-    tampered-but-well-formed plan loads fine.
+    worker.  The stored k_bar and s_bar must equal the derived ones, the
+    stored workers and owners the roster's layout, and the stored
+    transfers the plan's derived ones, entry by entry.  The checks are
+    structural only; rank properties are the verifier's job, so a plan
+    with tampered coefficients loads fine.
     """
     if not isinstance(d, dict):
         raise PlanError("malformed plan: top level must be an object")
@@ -621,4 +612,12 @@ def plan_from_dict(d: dict) -> CodingPlan:
             raise PlanError(f"stored worker {worker} of client {owner} breaks "
                             f"the roster's layout, where worker {w} is client "
                             f"{roster.owner[w]}'s")
-    return CodingPlan(scheme, roster, specs, transfers)
+    plan = CodingPlan(scheme, roster, specs)
+    for i, (t, derived) in enumerate(zip(transfers, plan.transfers)):
+        if t != derived:
+            raise PlanError(f"stored transfer {i}, {t}, differs from the "
+                            f"derived {derived}")
+    if len(transfers) != len(plan.transfers):
+        raise PlanError(f"{len(transfers)} stored transfers; the plan derives "
+                        f"{len(plan.transfers)}")
+    return plan

@@ -1,5 +1,5 @@
 """Helpers the tests share: matrix fixture files, block-column views,
-lazily encoded blocks and straggler-pattern lookup."""
+lazily encoded blocks, straggler-pattern lookup and stored-plan edits."""
 
 import numpy as np
 
@@ -48,3 +48,15 @@ def pattern_entry(report, types):
         if e.types == key:
             return e
     raise KeyError(f"no straggler pattern {key}")
+
+
+def with_derived_transfers(d):
+    """The stored plan d, edited in place to list the transfers its workers
+    derive: a plan whose supports were tampered with then loads, and the
+    checks past the transfer comparison see the tampering."""
+    specs = tuple(cd.CodedBlockSpec(tuple(w["support"]), tuple(w["coeffs"]),
+                                    w["seed_tag"])
+                  for w in sorted(d["workers"], key=lambda w: w["worker"]))
+    plan = cd.CodingPlan(d["scheme"], cd.roster_from_dict(d["roster"]), specs)
+    d["transfers"] = cd.plan_to_dict(plan)["transfers"]
+    return d

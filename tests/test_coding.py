@@ -12,7 +12,7 @@ from scipy import sparse as sp
 
 from codedfl import coding as cd
 from codedfl import matrices as mx
-from helpers import block
+from helpers import block, with_derived_transfers
 
 
 def rng(seed=0):
@@ -194,6 +194,92 @@ def test_example2_transfers_collapse_and_dedupe():
     assert all(t.src != t.dst for t in plan.transfers)
     # both passive clients are fed by the client running workers 0 and 1
     assert [(t.src, t.dst) for t in plan.coded_transfers()] == [(0, 5), (0, 6)]
+
+
+def builder_transfers(plan):
+    """The transfers the builders listed before a plan derived them: the
+    loops of build_heterogeneous_plan and _full_support_transfers, kept
+    verbatim as the reference."""
+    roster, specs, k_bar, s_bar = plan.roster, plan.specs, plan.k_bar, plan.s_bar
+    owner = roster.owner
+    Transfer = cd.Transfer
+    if plan.scheme in ("dense", "poly"):
+        return tuple(Transfer(owner[q], c.id, "raw", q) for q in range(roster.k_bar)
+                     for c in roster.clients if c.id != owner[q])
+    if plan.scheme == "uncoded":
+        return ()
+    transfers = []
+    seen = set()
+    for i in range(k_bar):
+        # worker i holds block i already; fetch the rest of its support
+        for q in specs[i].support[1:]:
+            src, dst = owner[q], owner[i]
+            if src == dst or (src, dst, q) in seen:
+                continue
+            seen.add((src, dst, q))
+            transfers.append(Transfer(src, dst, "raw", q))
+    for i in range(s_bar):
+        # the client running paired active worker i holds all of S_i and
+        # computes the passive combination on its behalf
+        transfers.append(Transfer(owner[i], owner[k_bar + i], "coded", k_bar + i))
+    return tuple(transfers)
+
+
+def roster_sweep():
+    """1-4 actives of multipliers 1-3, each with every legal passive set."""
+    for n in range(1, 5):
+        for act in itertools.combinations_with_replacement((3, 2, 1), n):
+            for pas in sorted({p for m in range(n)
+                               for p in itertools.combinations(act, m)}):
+                yield cd.make_roster(act, pas)
+
+
+def assert_transfers_deliver(plan):
+    owner, k_bar, clients = plan.roster.owner, plan.k_bar, plan.roster.clients
+    raw, coded = plan.raw_transfers(), plan.coded_transfers()
+    made = {c.id: {q for q in range(k_bar) if owner[q] == c.id}
+            for c in clients}
+    held = {c: set(blocks) for c, blocks in made.items()}
+    for t in raw:
+        assert t.payload in made[t.src] and t.dst != t.src
+        held[t.dst].add(t.payload)
+    # worker w is coded by the source of its coded block, else by its owner
+    coder = list(owner[:plan.n_bar])
+    for t in coded:
+        assert t.dst == owner[t.payload] != t.src
+        coder[t.payload] = t.src
+    for w, spec in enumerate(plan.specs):
+        assert set(spec.support) <= held[coder[w]]
+    needed = {(coder[w], q) for w, spec in enumerate(plan.specs)
+              for q in spec.support}
+    assert len(set(raw)) == len(raw)
+    assert all((t.dst, t.payload) in needed for t in raw)
+    assert len({t.payload for t in coded}) == len(coded)
+
+
+def test_derived_transfers_match_the_builders_and_deliver():
+    rosters = list(roster_sweep())
+    assert len(rosters) == 175
+    for roster in rosters:
+        for scheme in cd.SCHEMES:
+            plan = cd.build_plan(scheme, roster, seed=2)
+            assert plan.transfers == builder_transfers(plan), (scheme, roster)
+            assert_transfers_deliver(plan)
+
+
+def test_hand_built_plans_get_transfers_that_deliver():
+    # a passive worker on a support its paired active worker lacks: the
+    # coder fetches the extra block before it codes
+    roster = cd.make_roster([1, 1, 1], [1])
+    specs = (cd.CodedBlockSpec((0,), (1.0,), ""),
+             cd.CodedBlockSpec((1,), (1.0,), ""),
+             cd.CodedBlockSpec((2,), (1.0,), ""),
+             cd.CodedBlockSpec((0, 1, 2), (1.0, 1.0, 1.0), ""))
+    plan = cd.CodingPlan("proposed", roster, specs)
+    assert plan.transfers == (cd.Transfer(1, 0, "raw", 1),
+                              cd.Transfer(2, 0, "raw", 2),
+                              cd.Transfer(0, 3, "coded", 3))
+    assert_transfers_deliver(plan)
 
 
 def test_small_heterogeneous_by_hand():
@@ -402,7 +488,7 @@ def test_encode_handcrafted_systematic_plan():
     specs = (cd.CodedBlockSpec((0,), (1.0,), "unit"),
              cd.CodedBlockSpec((1,), (1.0,), "unit"),
              cd.CodedBlockSpec((0, 1), (1.0, 1.0), "unit"))
-    plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs, ())
+    plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs)
     wl = cd.encode(P, plan)
     np.testing.assert_array_equal(wl.coded[0].to_dense(), block(P, 0).to_dense())
     np.testing.assert_array_equal(wl.coded[1].to_dense(), block(P, 1).to_dense())
@@ -476,7 +562,7 @@ def test_encoded_cancellation_is_not_stored():
     specs = (cd.CodedBlockSpec((0, 1, 2), (1.0, -1.0, 0.5), "cancel"),
              cd.CodedBlockSpec((2, 0, 1), (0.25, 1.0, 2.0), "mix"),
              cd.CodedBlockSpec((0, 1, 2), (-1.5, 0.75, 1.0), "mix"))
-    plan = cd.CodingPlan("dense", cd.make_roster([1] * 3), specs, ())
+    plan = cd.CodingPlan("dense", cd.make_roster([1] * 3), specs)
     coded = cd.encode(P, plan).coded
     assert coded[0].nnz() == np.count_nonzero(C) < np.count_nonzero(B + C)
     np.testing.assert_array_equal(coded[0].to_dense(), 0.5 * C)
@@ -709,7 +795,7 @@ def test_a_support_that_repeats_a_block_is_rejected():
         specs = (cd.CodedBlockSpec(support, (1.0, 2.0), ""),
                  *plan.specs[1:])
         with pytest.raises(cd.PlanError, match=f"worker 0: {msg}"):
-            cd.CodingPlan("proposed", roster, specs, plan.transfers)
+            cd.CodingPlan("proposed", roster, specs)
 
 
 # each edit of a plan built in code used to be accepted: a single
@@ -724,19 +810,37 @@ def test_a_support_that_repeats_a_block_is_rejected():
      "worker 0: support/coeff length mismatch"),
     (lambda p: {"specs": (*p.specs, p.specs[3])},
      "need 1 <= k_bar <= n_bar <= 4"),
-    (lambda p: {"transfers": (dataclasses.replace(p.transfers[0], dst=9),
-                              *p.transfers[1:])},
-     r"transfer endpoints \(1, 9\) out of range"),
     # it used to be accepted, and certify died in an SVD that did not converge
     (lambda p: {"specs": (dataclasses.replace(p.specs[0],
                                               coeffs=(float("nan"), 1.0)),
                           *p.specs[1:])},
      r"worker 0: coefficients \(nan, 1.0\) not finite"),
-], ids=["coeff-count", "owner", "transfer-endpoint", "nan-coeff"])
+], ids=["coeff-count", "owner", "nan-coeff"])
 def test_a_plan_built_in_code_is_checked_like_a_stored_one(edit, msg):
     plan = cd.build_heterogeneous_plan(cd.make_roster([1, 1, 1], [1]), seed=0)
     with pytest.raises(cd.PlanError, match=msg):
         dataclasses.replace(plan, **edit(plan))
+
+
+# a plan derives its transfers, so only a stored plan can list others; each
+# edit used to load (a transfer of an unknown kind, a payload out of range
+# or an endpoint outside the roster was rejected, any other edit was not)
+@pytest.mark.parametrize("edit, stored, derived", [
+    (lambda t: t.update(dst=9), "src=1, dst=9, kind='raw', payload=1",
+     "src=1, dst=0, kind='raw', payload=1"),
+    (lambda t: t.update(kind="coded"), "src=1, dst=0, kind='coded', payload=1",
+     "src=1, dst=0, kind='raw', payload=1"),
+    (lambda t: t.update(payload=2), "src=1, dst=0, kind='raw', payload=2",
+     "src=1, dst=0, kind='raw', payload=1"),
+], ids=["transfer-endpoint", "transfer-kind", "transfer-payload"])
+def test_a_stored_plan_lists_the_transfers_it_derives(edit, stored, derived):
+    plan = cd.build_heterogeneous_plan(cd.make_roster([1, 1, 1], [1]), seed=0)
+    d = cd.plan_to_dict(plan)
+    edit(d["transfers"][0])
+    with pytest.raises(cd.PlanError) as err:
+        cd.plan_from_dict(d)
+    assert str(err.value) == (f"stored transfer 0, Transfer({stored}), differs "
+                              f"from the derived Transfer({derived})")
 
 
 def test_plan_derives_k_bar_and_s_bar_from_its_roster():
@@ -747,7 +851,7 @@ def test_plan_derives_k_bar_and_s_bar_from_its_roster():
         assert plan.roster is roster
         assert (plan.k_bar, plan.s_bar, plan.n_bar) == (7, s_bar, 7 + s_bar)
     assert [f.name for f in dataclasses.fields(cd.CodingPlan)] == [
-        "scheme", "roster", "specs", "transfers"]
+        "scheme", "roster", "specs"]
     # the roster fixes each worker's index and owner
     assert [f.name for f in dataclasses.fields(cd.CodedBlockSpec)] == [
         "support", "coeffs", "seed_tag"]
@@ -777,7 +881,7 @@ def test_plan_is_indexed_by_worker():
             (no_actives, (), "got k_bar=0"),
             (roster, plan.specs[:2], "got k_bar=3, s_bar=-1")]:
         with pytest.raises(cd.PlanError, match=msg):
-            cd.CodingPlan("proposed", roster, specs, ())
+            cd.CodingPlan("proposed", roster, specs)
 
 
 def test_plan_from_dict_takes_workers_in_any_order():
@@ -801,5 +905,5 @@ def test_plan_from_dict_accepts_tampered_coeffs():
     d = cd.plan_to_dict(plan)
     d["workers"][1]["coeffs"] = list(d["workers"][0]["coeffs"])
     d["workers"][1]["support"] = list(d["workers"][0]["support"])
-    plan2 = cd.plan_from_dict(d)
+    plan2 = cd.plan_from_dict(with_derived_transfers(d))
     assert plan2.specs[1].coeffs == plan2.specs[0].coeffs

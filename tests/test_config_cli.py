@@ -15,7 +15,7 @@ from codedfl import cli, coding as cd, decoding as dec, matrices as mx
 from codedfl.config import (BenchSpec, ConfigError, FlSpec, load_config,
                             parse_config)
 from codedfl.simulate import TimingModel
-from helpers import save_dense_csv
+from helpers import save_dense_csv, with_derived_transfers
 
 
 def minimal_doc(**extra):
@@ -282,7 +282,7 @@ def test_verify_stored_plan_and_tampered_plan(tmp_path):
     doc["workers"][1]["support"] = doc["workers"][0]["support"]
     doc["workers"][1]["coeffs"] = doc["workers"][0]["coeffs"]
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
+    tampered.write_text(json.dumps(with_derived_transfers(doc)))
     assert cli.main(["verify", "--plan", str(tampered),
                      "--out", str(tmp_path / "v2")]) == 3
     rep = json.loads((tmp_path / "v2" / "resilience.json").read_text())
@@ -293,7 +293,7 @@ def test_verify_stored_plan_and_tampered_plan(tmp_path):
     # matchings searched on rank failures only agree with a search on all
     assert doc["workers"][7]["support"] == doc["workers"][0]["support"]
     doc["workers"][8]["support"] = doc["workers"][0]["support"]
-    tampered.write_text(json.dumps(doc))
+    tampered.write_text(json.dumps(with_derived_transfers(doc)))
     assert cli.main(["verify", "--plan", str(tampered),
                      "--out", str(tmp_path / "v3")]) == 3
     rep = json.loads((tmp_path / "v3" / "resilience.json").read_text())
@@ -777,8 +777,21 @@ def _without(key):
      "base_speed must be finite and > 0, got inf"),
     (lambda d: d["roster"].update(base_speed=math.nan) or d,
      "base_speed must be finite and > 0, got nan"),
+    # a plan derives its 12 transfers from its workers; a stored list that
+    # differs used to load, and its privacy and D2D bytes were read off it
     (lambda d: d["transfers"][0].update(dst=9) or d,
-     "transfer endpoints (1, 9) out of range"),
+     "stored transfer 0, Transfer(src=1, dst=9, kind='raw', payload=2), "
+     "differs from the derived Transfer(src=1, dst=0, kind='raw', payload=2)"),
+    (lambda d: d.update(transfers=[]) or d,
+     "0 stored transfers; the plan derives 12"),
+    (lambda d: d["transfers"].pop(4) and d,
+     "stored transfer 4, Transfer(src=4, dst=2, kind='raw', payload=6), "
+     "differs from the derived Transfer(src=3, dst=2, kind='raw', payload=5)"),
+    (lambda d: d["transfers"].append(dict(d["transfers"][0], dst=4)) or d,
+     "13 stored transfers; the plan derives 12"),
+    (lambda d: d["transfers"][11].update(dst=5) or d,
+     "stored transfer 11, Transfer(src=0, dst=5, kind='coded', payload=8), "
+     "differs from the derived Transfer(src=0, dst=6, kind='coded', payload=8)"),
     # it used to die in an SVD that did not converge, with exit 1
     (lambda d: d["workers"][0]["coeffs"].__setitem__(0, math.nan) or d,
      "worker 0: coefficients (nan, "),
@@ -797,6 +810,8 @@ def _without(key):
         "reordered-clients", "negative-s_bar", "zero-k_bar", "unknown-scheme",
         "repeated-block", "stored-k_bar", "coeff-count", "owner",
         "moved-owner", "infinite-speed", "nan-speed", "transfer-endpoint",
+        "no-transfers", "dropped-transfer", "added-transfer",
+        "redirected-transfer",
         "nan-coeff", "float-support", "string-worker", "float-multiplier",
         "string-coeff", "bool-payload"])
 def test_verify_malformed_plan_is_exit_2(tmp_path, capsys, edit, msg):

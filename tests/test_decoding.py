@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from codedfl import coding as cd
 from codedfl import decoding as dec
 from codedfl import matrices as mx
-from helpers import pattern_entry
+from helpers import pattern_entry, with_derived_transfers
 from test_acceptance import measured_neighborhood, neighborhood_lower_bound
 
 
@@ -51,7 +51,7 @@ def test_decode_systematic_toy_by_subtraction():
     specs = (cd.CodedBlockSpec((0,), (1.0,), "unit"),
              cd.CodedBlockSpec((1,), (1.0,), "unit"),
              cd.CodedBlockSpec((0, 1), (1.0, 1.0), "unit"))
-    plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs, ())
+    plan = cd.CodingPlan("proposed", cd.make_roster([1, 1], [1]), specs)
     wl = cd.encode(P, plan)
     x = rng(4).standard_normal(7)
     problem = dec.problem_from_workload(wl, x, [0, 2])   # worker 1 straggles
@@ -228,7 +228,7 @@ def with_row(plan, worker, row):
         cd.CodedBlockSpec(support, tuple(float(row[j]) for j in support),
                           "tampered")
         if w == worker else s for w, s in enumerate(plan.specs))
-    return cd.CodingPlan(plan.scheme, plan.roster, specs, plan.transfers)
+    return cd.CodingPlan(plan.scheme, plan.roster, specs)
 
 
 def test_check_all_subsets_fig1_exhaustive():
@@ -385,8 +385,7 @@ def test_resilience_report_roundtrips_to_dict():
     assert "min_cond" not in d
     # with no full-rank subset there is no worst one
     twins = cd.CodingPlan("dense", cd.make_roster([1, 1], [1]), tuple(
-        cd.CodedBlockSpec((0, 1), (1.0, 1.0), "twin") for _ in range(3)),
-        ())
+        cd.CodedBlockSpec((0, 1), (1.0, 1.0), "twin") for _ in range(3)))
     d = dec.check_all_subsets(twins).to_dict()
     assert len(d["failures"]) == 3 and d["worst_subset"] is None
 
@@ -419,7 +418,7 @@ def support_plan(supports, n_active, n_passive=0):
     roster = cd.make_roster([1] * n_active, [1] * n_passive)
     specs = tuple(cd.CodedBlockSpec(tuple(s), (1.0,) * len(s), "")
                   for s in supports)
-    return cd.CodingPlan("proposed", roster, specs, ())
+    return cd.CodingPlan("proposed", roster, specs)
 
 
 def test_matching_detects_hall_violation():
@@ -436,7 +435,7 @@ def test_matching_detects_hall_violation():
     assert dec.check_hall_condition(plan, [0, 2]).perfect
     # a zero coefficient is still an edge: the certificate is structural
     plan = cd.CodingPlan("proposed", plan.roster, (
-        plan.specs[0], cd.CodedBlockSpec((1,), (0.0,), "")), ())
+        plan.specs[0], cd.CodedBlockSpec((1,), (0.0,), "")))
     assert np.linalg.matrix_rank(plan.G) == 1
     assert dec.check_hall_condition(plan, [0, 1]).perfect
 
@@ -718,7 +717,7 @@ def test_certify_matches_only_rank_failures():
     for w in (1, 8):
         d["workers"][w]["support"] = d["workers"][0]["support"]
     d["workers"][1]["coeffs"] = d["workers"][0]["coeffs"]
-    plan = cd.plan_from_dict(d)
+    plan = cd.plan_from_dict(with_derived_transfers(d))
     cert = dec.certify(plan)
     explicit = tuple(
         s for s in itertools.combinations(range(plan.n_bar), plan.k_bar)

@@ -3,18 +3,18 @@ that the benchmark's toy configs and the README config write, and the exit
 code of every command, as committed in golden.json.  The README config
 runs with its own schemes and once each with ``--scheme poly`` and
 ``--scheme uncoded``, ``verify --plan`` reads back each seed's stored
-dense plan, and ``simulate`` runs it without its matrix and bench
-sections, on the one-row matrix the roster's base_width gives, and
-``simulate`` and ``fl-demo`` run it with clients failing (FAILURES), so a
-digest pins the order of a round's draws.  One more ``simulate`` config
+dense, poly and uncoded plans, ``simulate`` runs it without its matrix
+and bench sections, on the one-row matrix the roster's base_width gives,
+and ``simulate`` and ``fl-demo`` run it with clients failing (FAILURES),
+so a digest pins the order of a round's draws.  One more ``simulate`` config
 has a dense plan whose overlay spans three chunks of cells (CHUNKED);
 every other union fits in one.
 
-Those commands run in-process through ``cli.main``.  One case runs the
-``certify-rounds`` workload's four commands at full size and seed
-FULL_SIZE_SEED in a fresh interpreter with the BLAS thread variables at
-1 (about 1.5 s): the toy sizes cannot show a float that moves at full
-size, and at that seed the rounds and the demo fail, so a moved float
+Those commands run in-process through ``cli.main``.  Three cases run the
+``certify-rounds`` workload's four commands at full size, one per seed of
+FULL_SIZE_SEEDS, in one fresh interpreter with the BLAS thread variables
+at 1 (about 3 s): the toy sizes cannot show a float that moves at full
+size, and at those seeds the rounds or the demo fail, so a moved float
 can move a failure.  A change that means to change outputs regenerates
 the file with ``PYTHONPATH=src python tests/test_golden.py`` and names
 each file that moved.
@@ -54,7 +54,7 @@ CHUNKED = {"seed": 5, "schemes": ["proposed", "dense"],
 # do not decode (simulate exits 4), fl-demo retries 29 rounds
 FAILURES_SEED = 1
 FAILURES_TIMING = {"noise": 0.5, "failed_clients": [6], "failure_prob": 0.1}
-FULL_SIZE_SEED = 13
+FULL_SIZE_SEEDS = (0, 7, 13)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 # runs the argv lists in sys.argv[1] through cli.main; its last line of
@@ -125,24 +125,29 @@ def _cases(tmp: Path):
     yield case, tmp / case, [["simulate", "--config", str(chunked), "--out",
                               str(tmp / case), "--require-decode"]]
     # a stored plan of a scheme other than proposed, read back by verify
-    for seed in README_SEEDS:
-        case = f"readme/plan=dense/seed={seed}"
-        stored = tmp / f"readme/seed={seed}" / "plan_dense.json"
-        yield case, tmp / case, [["verify", "--plan", str(stored),
-                                  "--out", str(tmp / case)]]
+    for scheme, written_by in [("dense", "readme"),
+                               *((s, f"readme/scheme={s}")
+                                 for s in README_EXTRA_SCHEMES)]:
+        for seed in README_SEEDS:
+            case = f"readme/plan={scheme}/seed={seed}"
+            stored = tmp / f"{written_by}/seed={seed}" / f"plan_{scheme}.json"
+            yield case, tmp / case, [["verify", "--plan", str(stored),
+                                      "--out", str(tmp / case)]]
 
 
-def _full_size_case(tmp: Path):
-    """(case name, out dir, argv lists) of a full-size certify-rounds pass."""
+def _full_size_cases(tmp: Path):
+    """Yield (case name, out dir, argv lists) of a full-size certify-rounds
+    pass per seed of FULL_SIZE_SEEDS."""
     wl = _bench_workloads()["certify-rounds"]
-    case = f"certify-rounds/full/seed={FULL_SIZE_SEED}"
-    out = tmp / case
-    paths = {}
-    for role, doc in wl.configs(FULL_SIZE_SEED, False).items():
-        paths[role] = tmp / f"full-{role}.json"
-        paths[role].write_text(json.dumps(doc))
-    return case, out, [cmd if "--out" in cmd else cmd + ["--out", str(out)]
-                       for cmd in wl.commands(paths, out)]
+    for seed in FULL_SIZE_SEEDS:
+        case = f"certify-rounds/full/seed={seed}"
+        out = tmp / case
+        paths = {}
+        for role, doc in wl.configs(seed, False).items():
+            paths[role] = tmp / f"full-{seed}-{role}.json"
+            paths[role].write_text(json.dumps(doc))
+        yield case, out, [cmd if "--out" in cmd else cmd + ["--out", str(out)]
+                          for cmd in wl.commands(paths, out)]
 
 
 def _run_fresh(commands) -> list:
@@ -168,8 +173,11 @@ def digests(tmp: Path) -> dict:
     """{case: {"exit_codes": [...], "files": {name: sha256}}}."""
     result = {case: _record([cli.main(cmd) for cmd in commands], out)
               for case, out, commands in _cases(tmp)}
-    case, out, commands = _full_size_case(tmp)
-    result[case] = _record(_run_fresh(commands), out)
+    full = list(_full_size_cases(tmp))
+    codes = iter(_run_fresh([cmd for _, _, commands in full
+                             for cmd in commands]))
+    for case, out, commands in full:
+        result[case] = _record([next(codes) for _ in commands], out)
     return result
 
 

@@ -179,8 +179,8 @@ def test_sparse_is_immutable():
         [block(P, 0).m, block(P, 0).m, block(P, 1).m])), 3)
     spec = cd.CodedBlockSpec((0, 1, 2), (1.0, -1.0, 0.5), "cancel")
     others = cd.build_uncoded_plan(roster).specs[1:]
-    cancelled = cd.encode(twins, cd.CodingPlan("dense", roster, (spec, *others),
-                                               ()))
+    cancelled = cd.encode(twins,
+                          cd.CodingPlan("dense", roster, (spec, *others)))
     cases = [S, block(P, 1), *dense, narrow, cancelled.coded[0]]
     for M in cases:
         for part in (M.m.data, M.m.indices, M.m.indptr):
